@@ -84,21 +84,12 @@ def _cmd_floating_pair(args: argparse.Namespace) -> int:
         print(f"above {report.above.pair} {report.above.value:.6f}")
     if report.below is not None:
         print(f"below {report.below.pair} {report.below.value:.6f}")
-    expected = orderings.expected_floating_brackets(args.n)
-    if expected is not None:
-        above, below = expected
-        ok = (
-            report.above is not None
-            and report.below is not None
-            and report.above.pair == above
-            and report.below.pair == below
-        )
-        print(f"bracket rule: {'match' if ok else 'MISMATCH'}")
-        if not ok:
-            return EXIT_VERIFICATION
-    else:
+    mismatch = orderings.floating_bracket_mismatch(report)
+    if mismatch is None:
         print("bracket rule: not stated for this n")
-    return EXIT_OK
+        return EXIT_OK
+    print(f"bracket rule: {'MISMATCH' if mismatch else 'match'}")
+    return EXIT_VERIFICATION if mismatch else EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

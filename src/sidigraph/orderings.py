@@ -432,6 +432,22 @@ def locate_floating_pair(budget_n: int) -> FloatingPairReport:
     raise RuntimeError(f"floating pair {target} missing from the mixed family")
 
 
+def floating_bracket_mismatch(report: FloatingPairReport) -> str | None:
+    """How the located floating pair misses its tabulated bracket.
+
+    None where no bracket is stated for the budget, "" on a match.
+    """
+    expected = expected_floating_brackets(report.budget_n)
+    if expected is None:
+        return None
+    above, below = expected
+    got_above = report.above.pair if report.above else None
+    got_below = report.below.pair if report.below else None
+    if (got_above, got_below) == (above, below):
+        return ""
+    return f"expected between {above} and {below}, got {got_above} and {got_below}"
+
+
 def extremal_pairs(budget_n: int) -> tuple[OrderingEntry, OrderingEntry]:
     """Maximal and minimal entries over the union of both sign classes.
 
@@ -457,12 +473,6 @@ def extremal_pairs(budget_n: int) -> tuple[OrderingEntry, OrderingEntry]:
     return maximum, minimum
 
 
-def family_iota_values(budget_n: int) -> dict[CyclePair, float]:
-    """Iota value of every pair in both sign classes, keyed by pair."""
-    pairs = enumerate_pairs(budget_n, SAME_SIGN) + enumerate_pairs(budget_n, MIXED_SIGN)
-    return {p: pair_iota(p) for p in pairs}
-
-
 __all__ = [
     "SAME_SIGN",
     "MIXED_SIGN",
@@ -483,6 +493,6 @@ __all__ = [
     "splice_gap",
     "expected_floating_brackets",
     "locate_floating_pair",
+    "floating_bracket_mismatch",
     "extremal_pairs",
-    "family_iota_values",
 ]

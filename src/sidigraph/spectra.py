@@ -1,9 +1,13 @@
 """Spectra of signed digraphs: characteristic polynomial, eigenvalues, energies.
 
-The numeric pipeline is adjacency matrix -> monic characteristic polynomial
-(trace recursion) -> simultaneous root iteration (Aberth-Ehrlich).  Single
-signed cycles bypass it: their eigenvalues are the n-th roots of +1 or -1
-and are produced analytically.
+Ordered by strong components, the adjacency matrix is block triangular, so
+its spectrum is the union of the spectra of the components.  `eigenvalues`
+is the one route: a singleton component contributes 0, a component with as
+many arcs as vertices is one signed cycle and contributes the n-th roots of
+its sign, and any other component goes through the numeric pipeline,
+adjacency matrix -> monic characteristic polynomial (trace recursion) ->
+simultaneous root iteration (Aberth-Ehrlich).  Numeric roots that are not
+finite or lie outside the Gershgorin disc raise RootFindingError.
 """
 from __future__ import annotations
 
@@ -16,7 +20,10 @@ import numpy as np
 
 from .graphs import SignedDigraph, adjacency_matrix, strong_components
 
-MAX_DIMENSION = 512  # keeps double-precision trace recursion trustworthy
+# Largest matrix char_poly accepts.  It does not make the float trace
+# recursion exact: coefficients of dense components pass 2^53 at roughly
+# 40-48 vertices, and eigenvalues rejects the roots that this corrupts.
+MAX_DIMENSION = 512
 
 # A root is accepted when |p(z)| <= RESIDUAL_TOL * (1 + |z|)^degree.
 RESIDUAL_TOL = 1e-10
@@ -55,7 +62,11 @@ class ComplexSpectrum:
 
 
 class RootFindingError(RuntimeError):
-    """Root iteration did not reach the residual contract; carries diagnostics."""
+    """Root finding failed; carries diagnostics.
+
+    residuals is empty and iterations 0 when eigenvalues rejects a root
+    outside the Gershgorin bound.
+    """
 
     def __init__(self, message: str, roots: tuple[complex, ...], residuals: tuple[float, ...], iterations: int):
         super().__init__(message)
@@ -67,9 +78,11 @@ class RootFindingError(RuntimeError):
 def char_poly(matrix: np.ndarray) -> Polynomial:
     """Monic characteristic polynomial det(xI - A) via trace recursion.
 
-    The Faddeev-LeVerrier recursion needs only matrix products and traces,
-    which stay exact for the small-integer matrices produced by signed
-    digraphs (coefficient accuracy is far below 1e-9 for n <= 64).
+    The Faddeev-LeVerrier recursion needs only matrix products and traces.
+    In doubles these are exact only while every intermediate stays below
+    2^53: true for cycles and sparse matrices of any supported size, but
+    dense signed digraphs pass it at roughly 40-48 vertices, after which the
+    coefficients are rounded.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -187,42 +200,39 @@ def cycle_eigenvalues(length: int, sign: int) -> ComplexSpectrum:
     return ComplexSpectrum(tuple(cmath.rect(1.0, a) for a in angles))
 
 
-def _as_single_cycle(g: SignedDigraph) -> tuple[int, int] | None:
-    """(length, sign) if g is exactly one directed cycle, else None."""
-    n = g.n_vertices
-    if n < 2 or g.n_arcs != n:
-        return None
-    succ: dict[int, int] = {}
-    sign = 1
-    for tail, head, s in g.arcs:
-        if tail in succ:
-            return None
-        succ[tail] = head
-        sign *= s
-    # every vertex has out-degree 1; a single orbit from 0 must cover all n
-    seen = {0}
-    v = succ.get(0, -1)
-    while v not in (-1, 0):
-        if v in seen:
-            return None
-        seen.add(v)
-        v = succ.get(v, -1)
-    if v != 0 or len(seen) != n:
-        return None
-    return n, sign
+def _numeric_eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:
+    """Roots of the characteristic polynomial, checked against Gershgorin."""
+    roots = poly_roots(char_poly(matrix)).values
+    bound = float(np.abs(matrix).sum(axis=1).max())
+    bad = [z for z in roots if not cmath.isfinite(z) or abs(z) > bound * (1.0 + 1e-6)]
+    if bad:
+        raise RootFindingError(
+            f"{len(bad)} of {len(roots)} roots are not finite or lie outside the "
+            f"Gershgorin bound {bound:g}, e.g. {bad[0]:.6g}",
+            roots=roots,
+            residuals=(),
+            iterations=0,
+        )
+    return roots
 
 
-def eigenvalues(g: SignedDigraph, *, use_cycle_fast_path: bool = True) -> ComplexSpectrum:
-    """Eigenvalues of the adjacency matrix of g.
+def eigenvalues(g: SignedDigraph) -> ComplexSpectrum:
+    """Eigenvalues of the adjacency matrix of g, strong component by component.
 
-    Single signed cycles are answered analytically unless the fast path is
-    disabled (useful when the numeric route itself is under test).
+    A strongly connected digraph with as many arcs as vertices (at least 2)
+    is exactly one directed cycle, so it is answered analytically.
     """
-    if use_cycle_fast_path:
-        cycle = _as_single_cycle(g)
-        if cycle is not None:
-            return cycle_eigenvalues(*cycle)
-    return poly_roots(char_poly(adjacency_matrix(g)))
+    values: list[complex] = []
+    for component in strong_components(g):
+        n = component.n_vertices
+        if n == 1:
+            values.append(0j)
+        elif component.n_arcs == n:
+            sign = math.prod(s for _tail, _head, s in component.arcs)
+            values.extend(cycle_eigenvalues(n, sign).values)
+        else:
+            values.extend(_numeric_eigenvalues(adjacency_matrix(component)))
+    return ComplexSpectrum(tuple(values))
 
 
 def _spectrum_values(s: ComplexSpectrum | Iterable[complex]) -> tuple[complex, ...]:
@@ -242,14 +252,5 @@ def iota_energy(s: ComplexSpectrum | Iterable[complex]) -> float:
 
 
 def iota_energy_of_graph(g: SignedDigraph) -> float:
-    """Iota energy of g, summed over its strong components.
-
-    Singleton components contribute nothing; cycle components use the
-    analytic spectrum; anything else goes through the numeric pipeline.
-    """
-    total = 0.0
-    for component in strong_components(g):
-        if component.n_vertices == 1:
-            continue
-        total += iota_energy(eigenvalues(component))
-    return total
+    """Iota energy of g: the iota energy of its eigenvalues."""
+    return iota_energy(eigenvalues(g))

@@ -1,10 +1,12 @@
 import os
 import stat
 
+import numpy as np
 import pytest
 
-from sidigraph import format_edge_list, join_with_arc, make_cycle, make_path
+from sidigraph import adjacency_matrix, format_edge_list, join_with_arc, make_cycle, make_path
 from sidigraph.cli import main
+from seeded_graphs import chained_blocks, dense_scc
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +274,36 @@ def test_spectrum_round_trip_identical_output(tmp_path, capsys):
     assert code == 0
     code, second, _ = run_cli(capsys, "spectrum", str(path))
     assert first == second
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_spectrum_chained_blocks_match_per_block_lapack(tmp_path, capsys, seed):
+    # three 24-vertex blocks joined by forward arcs; the whole-matrix route
+    # printed an iota energy near 1e11-1e12 here with exit 0
+    g, blocks = chained_blocks(seed)
+    path = tmp_path / "blocks.txt"
+    path.write_text(format_edge_list(g), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "spectrum", str(path))
+    assert code == 0
+    assert "strong components: 3 (nontrivial 3)" in out
+    a = adjacency_matrix(g).astype(np.float64)
+    z = np.concatenate([np.linalg.eigvals(a[np.ix_(b, b)]) for b in blocks])
+    fields = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    assert abs(float(fields["energy"]) - np.abs(z.real).sum()) <= 1e-6
+    assert abs(float(fields["iota energy"]) - np.abs(z.imag).sum()) <= 1e-6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_spectrum_dense_component_fails_loudly(tmp_path, capsys):
+    # the float characteristic polynomial of this 40-vertex component is
+    # inexact; the route used to print an iota energy near 1e15 with exit 0
+    path = tmp_path / "dense.txt"
+    path.write_text(format_edge_list(dense_scc(0)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "spectrum", str(path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Gershgorin" in err
+    assert "energy" not in out
 
 
 def test_spectrum_parse_error_reports_line(tmp_path, capsys):

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidigraph import (
     ComplexSpectrum,
     Polynomial,
     RootFindingError,
+    SignedDigraph,
     adjacency_matrix,
     char_poly,
     cycle_eigenvalues,
@@ -21,6 +24,7 @@ from sidigraph import (
     poly_roots,
 )
 from oracles import cofactor_char_poly, match_multisets
+from seeded_graphs import chained_blocks, dense_scc
 
 
 def analytic_cycle_roots(n, sign):
@@ -139,7 +143,7 @@ def test_eigenvalues_fast_path_values():
 def test_fast_path_agrees_with_numeric_route(n, sign):
     g = make_cycle(n, sign)
     fast = eigenvalues(g)
-    numeric = eigenvalues(g, use_cycle_fast_path=False)
+    numeric = poly_roots(char_poly(adjacency_matrix(g)))
     match_multisets(fast.values, numeric.values, 1e-8)
 
 
@@ -195,7 +199,7 @@ def test_iota_additivity_over_join(r1, r2):
 
 def test_numeric_pipeline_at_large_dimension():
     g = make_cycle(128, -1)
-    spec = eigenvalues(g, use_cycle_fast_path=False)
+    spec = poly_roots(char_poly(adjacency_matrix(g)))
     match_multisets(spec.values, analytic_cycle_roots(128, -1), 1e-10)
 
 
@@ -203,7 +207,7 @@ def test_pure_functions_are_thread_safe():
     from concurrent.futures import ThreadPoolExecutor
 
     def job(n):
-        return iota_energy(eigenvalues(make_cycle(n, -1), use_cycle_fast_path=False))
+        return iota_energy(poly_roots(char_poly(adjacency_matrix(make_cycle(n, -1)))))
 
     ns = list(range(2, 30)) * 4
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -229,3 +233,52 @@ def test_cycle_eigenvalues_match_sign_convention():
             assert len(spec.values) == n
             for z in spec.values:
                 assert abs(z**n - sign) < 1e-10
+
+
+# --- one route: strong components, guarded numeric branch -------------------
+
+@st.composite
+def signed_digraphs(draw, max_vertices=8):
+    n = draw(st.integers(1, max_vertices))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SignedDigraph(n, tuple((i, j, draw(st.sampled_from((1, -1)))) for i, j in chosen))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(signed_digraphs())
+def test_eigenvalues_reproduce_cofactor_char_poly(g):
+    expected = cofactor_char_poly(adjacency_matrix(g).tolist())
+    got = np.poly(eigenvalues(g).values)[::-1]
+    assert np.max(np.abs(got - expected)) <= 1e-6 * (1.0 + max(abs(c) for c in expected))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_chained_blocks_match_per_block_lapack(seed):
+    # the whole-matrix polynomial of three 24-vertex blocks was out of reach
+    # of the float trace recursion; per component every block is
+    g, blocks = chained_blocks(seed)
+    a = adjacency_matrix(g).astype(np.float64)
+    expected = np.concatenate([np.linalg.eigvals(a[np.ix_(b, b)]) for b in blocks])
+    match_multisets(eigenvalues(g).values, expected, 1e-6)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_component_raises_instead_of_garbage(seed):
+    # coefficients beyond 2^53 send the root iteration far outside the
+    # Gershgorin bound (largest absolute row sum, 17-20 here)
+    g = dense_scc(seed)
+    with pytest.raises(RootFindingError, match="Gershgorin"):
+        eigenvalues(g)
+    with pytest.raises(RootFindingError):
+        iota_energy_of_graph(g)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_gershgorin_guard_admits_complete_digraph(sign):
+    # the spectral radius of K6 equals its largest absolute row sum, 5
+    g = SignedDigraph(6, tuple((i, j, sign) for i in range(6) for j in range(6) if i != j))
+    values = eigenvalues(g).values
+    assert max(values, key=abs) == pytest.approx(5.0 * sign, abs=1e-8)
+    assert iota_energy(values) == pytest.approx(0.0, abs=1e-2)
