@@ -16,7 +16,6 @@ from .cycle_formulas import (
 from .graphs import (
     CyclePair,
     EdgeListParseError,
-    Sign,
     SignedCycle,
     SignedDigraph,
     adjacency_matrix,
@@ -46,6 +45,7 @@ from .orderings import (
     ordered_sequence,
     predicted_mixed_chain,
     predicted_same_sign_chain,
+    restrict,
     splice_gap,
 )
 from .spectra import (

@@ -6,20 +6,12 @@ hashable, so they can be shared freely across threads.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 Arc = tuple[int, int, int]  # (tail, head, sign)
-
-
-class Sign(enum.IntEnum):
-    """Arc or cycle sign; exactly two values, usable as plain ints."""
-
-    PLUS = 1
-    MINUS = -1
 
 
 def check_sign(sign: int) -> int:
@@ -237,27 +229,21 @@ class SignedCycle:
 
 @dataclass(frozen=True)
 class CyclePair:
-    """Two vertex-disjoint even cycles that fit a vertex budget.
+    """Two even cycles (C_a, C_b).
 
-    Stored in canonical order (length ascending, minus before plus at
-    equal length), so equal pairs compare, hash and deduplicate equal.
+    A pair carries no vertex budget: whether it fits budget n (a + b <= n)
+    is decided by the family that enumerates it.  Stored in canonical order
+    (length ascending, minus before plus at equal length), so equal pairs
+    compare, hash and deduplicate equal.
     """
 
     c1: SignedCycle
     c2: SignedCycle
-    budget_n: int
 
     def __post_init__(self) -> None:
-        if self.budget_n < 4:
-            raise ValueError(f"budget must be >= 4, got {self.budget_n}")
         for c in (self.c1, self.c2):
             if c.length % 2 != 0:
                 raise ValueError(f"pair cycles must have even length, got {c.length}")
-        if self.c1.length + self.c2.length > self.budget_n:
-            raise ValueError(
-                f"cycle lengths {self.c1.length}+{self.c2.length} exceed "
-                f"budget {self.budget_n}"
-            )
         if self.c1.sort_key() > self.c2.sort_key():
             c1, c2 = self.c1, self.c2
             object.__setattr__(self, "c1", c2)

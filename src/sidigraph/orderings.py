@@ -60,28 +60,27 @@ def _check_sign_class(sign_class: str) -> None:
         raise ValueError(f"sign_class must be {SAME_SIGN!r} or {MIXED_SIGN!r}")
 
 
-def _pair(l1: int, s1: int, l2: int, s2: int, budget_n: int) -> CyclePair:
-    return CyclePair(SignedCycle(l1, s1), SignedCycle(l2, s2), budget_n)
+def _pair(l1: int, s1: int, l2: int, s2: int) -> CyclePair:
+    return CyclePair(SignedCycle(l1, s1), SignedCycle(l2, s2))
+
+
+# Sign patterns (c1, c2) of each class, c1.sign ascending.
+_SIGN_PATTERNS = {SAME_SIGN: ((-1, -1), (1, 1)), MIXED_SIGN: ((-1, 1), (1, -1))}
 
 
 def enumerate_pairs(budget_n: int, sign_class: str) -> list[CyclePair]:
-    """All canonical pairs of the class that fit the budget, deduplicated."""
+    """Each canonical pair of the class that fits the budget, by (total, c1.length, c1.sign, c2.sign)."""
     _check_sign_class(sign_class)
     if budget_n < 4:
         raise ValueError(f"budget must be >= 4, got {budget_n}")
-    pairs: set[CyclePair] = set()
-    for r1 in range(2, budget_n - 1, 2):
-        for r2 in range(r1, budget_n - r1 + 1, 2):
-            if sign_class == SAME_SIGN:
-                pairs.add(_pair(r1, 1, r2, 1, budget_n))
-                pairs.add(_pair(r1, -1, r2, -1, budget_n))
-            else:
-                pairs.add(_pair(r1, -1, r2, 1, budget_n))
-                pairs.add(_pair(r1, 1, r2, -1, budget_n))
-    return sorted(
-        pairs,
-        key=lambda p: (p.total_length, p.c1.length, p.c1.sign, p.c2.sign),
-    )
+    pairs: list[CyclePair] = []
+    for total in range(4, budget_n + 1, 2):
+        for l1 in range(2, total // 2 + 1, 2):
+            for s1, s2 in _SIGN_PATTERNS[sign_class]:
+                # at equal lengths (+,-) is the canonical (-,+) again
+                if 2 * l1 < total or s1 <= s2:
+                    pairs.append(_pair(l1, s1, total - l1, s2))
+    return pairs
 
 
 def _is_floating(pair: CyclePair) -> bool:
@@ -115,10 +114,25 @@ def ordered_sequence(
     pairs = enumerate_pairs(budget_n, sign_class)
     if exclude_floating and sign_class == MIXED_SIGN:
         pairs = [p for p in pairs if not _is_floating(p)]
-    valued = sorted(
-        ((pair_iota(p), p) for p in pairs),
-        key=lambda item: (-item[0], _tie_break_key(item[1])),
-    )
+    entries = _grouped([(pair_iota(p), p) for p in pairs], tie_tol)
+    return OrderingSequence(budget_n=budget_n, sign_class=sign_class, entries=entries)
+
+
+def restrict(sequence: OrderingSequence, budget_n: int, tie_tol: float = TIE_TOL) -> OrderingSequence:
+    """The ordering of the same family at a smaller budget.
+
+    A pair's value does not depend on the budget, so this keeps the entries
+    that fit budget_n in their order and recomputes ranks and tie groups.
+    """
+    if not 4 <= budget_n <= sequence.budget_n:
+        raise ValueError(f"budget must be in 4..{sequence.budget_n}, got {budget_n}")
+    valued = [(e.value, e.pair) for e in sequence.entries if e.pair.total_length <= budget_n]
+    return OrderingSequence(budget_n, sequence.sign_class, _grouped(valued, tie_tol))
+
+
+def _grouped(valued: list[tuple[float, CyclePair]], tie_tol: float) -> tuple[OrderingEntry, ...]:
+    """Sort (value, pair) items descending and chain values within tie_tol into tie groups."""
+    valued = sorted(valued, key=lambda item: (-item[0], _tie_break_key(item[1])))
     groups: list[list[tuple[float, CyclePair]]] = []
     for value, pair in valued:
         if groups and groups[-1][-1][0] - value <= tie_tol:
@@ -132,7 +146,7 @@ def ordered_sequence(
             entries.append(
                 OrderingEntry(pair=pair, value=value, rank=len(entries) + 1, tie_group=group_index)
             )
-    return OrderingSequence(budget_n=budget_n, sign_class=sign_class, entries=tuple(entries))
+    return tuple(entries)
 
 
 def _center(total: int) -> int:
@@ -208,13 +222,13 @@ def small_budget_same_sign_order(budget_n: int) -> list[tuple[CyclePair, bool]]:
         raise ValueError(f"budgets >= 22 follow the block pattern, got {budget_n}")
     out: list[tuple[CyclePair, bool]] = []
     if budget_n >= 20:
-        out.extend((_pair(m, -1, 20 - m, -1, budget_n), False) for m in range(2, 11, 2))
+        out.extend((_pair(m, -1, 20 - m, -1), False) for m in range(2, 11, 2))
     dropped_previous = False
     for l1, s1, l2, s2, tied in _SAME_SIGN_SMALL_ORDER:
         if l1 + l2 > budget_n:
             dropped_previous = True
             continue
-        out.append((_pair(l1, s1, l2, s2, budget_n), tied and not dropped_previous))
+        out.append((_pair(l1, s1, l2, s2), tied and not dropped_previous))
         dropped_previous = False
     return out
 
@@ -240,10 +254,10 @@ def predicted_same_sign_chain(budget_n: int) -> list[tuple[CyclePair, bool]]:
     chain: list[tuple[CyclePair, bool]] = []
 
     def neg(m: int, total: int) -> tuple[CyclePair, bool]:
-        return _pair(m, -1, total - m, -1, budget_n), False
+        return _pair(m, -1, total - m, -1), False
 
     def pos(m: int, total: int) -> tuple[CyclePair, bool]:
-        return _pair(m, 1, total - m, 1, budget_n), False
+        return _pair(m, 1, total - m, 1), False
 
     chain.extend(neg(m, top) for m in range(2, _center(top) + 1, 2))
     chain.extend(pos(m, top) for m in range(_center(top), 5, -2))
@@ -258,7 +272,7 @@ def predicted_same_sign_chain(budget_n: int) -> list[tuple[CyclePair, bool]]:
     chain.extend(neg(m, 20) for m in range(4, 11, 2))
     chain.append(pos(2, 22))
     chain.extend(
-        (_pair(l1, s1, l2, s2, budget_n), tied)
+        (_pair(l1, s1, l2, s2), tied)
         for l1, s1, l2, s2, tied in _SAME_SIGN_SMALL_ORDER[1:]
     )
     return chain
@@ -277,9 +291,9 @@ def predicted_mixed_chain(budget_n: int) -> list[CyclePair]:
     chain: list[CyclePair] = []
     for total in range(top, 3, -2):
         if total == 4:
-            chain.append(_pair(2, -1, 2, 1, budget_n))
+            chain.append(_pair(2, -1, 2, 1))
         else:
-            chain.extend(_pair(m, -1, total - m, 1, budget_n) for m in range(2, total - 3, 2))
+            chain.extend(_pair(m, -1, total - m, 1) for m in range(2, total - 3, 2))
     return chain
 
 
@@ -301,20 +315,27 @@ def _compare_chain(
     return ""
 
 
-def check_same_sign_chain(budget_n: int, tie_tol: float = TIE_TOL) -> ChainCheckReport:
-    """Verify the same-sign block pattern against the numeric sort."""
-    expected = predicted_same_sign_chain(budget_n)
-    actual = ordered_sequence(budget_n, SAME_SIGN, tie_tol=tie_tol)
-    detail = _compare_chain(actual, expected)
-    return ChainCheckReport(budget_n, SAME_SIGN, passed=not detail, detail=detail)
+def check_same_sign_chain(sequence: OrderingSequence) -> ChainCheckReport:
+    """Verify the same-sign block pattern against a numeric same-sign ordering."""
+    expected = predicted_same_sign_chain(sequence.budget_n)
+    detail = _compare_chain(sequence, expected)
+    return ChainCheckReport(sequence.budget_n, SAME_SIGN, passed=not detail, detail=detail)
 
 
-def check_mixed_chain(budget_n: int, tie_tol: float = TIE_TOL) -> ChainCheckReport:
-    """Verify the mixed block pattern against the floating-free numeric sort."""
-    expected = [(p, False) for p in predicted_mixed_chain(budget_n)]
-    actual = ordered_sequence(budget_n, MIXED_SIGN, exclude_floating=True, tie_tol=tie_tol)
-    detail = _compare_chain(actual, expected)
-    return ChainCheckReport(budget_n, MIXED_SIGN, passed=not detail, detail=detail)
+def check_mixed_chain(sequence: OrderingSequence) -> ChainCheckReport:
+    """Verify the mixed block pattern against a floating-free numeric mixed ordering."""
+    expected = [(p, False) for p in predicted_mixed_chain(sequence.budget_n)]
+    detail = _compare_chain(sequence, expected)
+    return ChainCheckReport(sequence.budget_n, MIXED_SIGN, passed=not detail, detail=detail)
+
+
+def _strict_descent_detail(chain: list[CyclePair]) -> str:
+    """Empty string when the chain's values drop strictly, else the first non-drop."""
+    values = [pair_iota(p) for p in chain]
+    for i in range(1, len(values)):
+        if values[i - 1] - values[i] <= TIE_TOL:
+            return f"no strict drop from {chain[i - 1]} to {chain[i]}"
+    return ""
 
 
 def check_exact_total_chain(n: int) -> ChainCheckReport:
@@ -326,17 +347,11 @@ def check_exact_total_chain(n: int) -> ChainCheckReport:
     """
     if n <= 4 or n % 2 != 0:
         raise ValueError(f"total must be even and > 4, got {n}")
-    chain = [_pair(m, -1, n - m, -1, n) for m in range(2, _center(n) + 1, 2)]
-    chain.extend(_pair(m, 1, n - m, 1, n) for m in range(_center(n), 1, -2))
-    values = [pair_iota(p) for p in chain]
-    for i in range(1, len(values)):
-        if values[i - 1] - values[i] <= TIE_TOL:
-            return ChainCheckReport(
-                n,
-                SAME_SIGN,
-                passed=False,
-                detail=f"no strict drop from {chain[i - 1]} to {chain[i]}",
-            )
+    chain = [_pair(m, -1, n - m, -1) for m in range(2, _center(n) + 1, 2)]
+    chain.extend(_pair(m, 1, n - m, 1) for m in range(_center(n), 1, -2))
+    detail = _strict_descent_detail(chain)
+    if detail:
+        return ChainCheckReport(n, SAME_SIGN, passed=False, detail=detail)
     numeric = sorted(
         (p for p in enumerate_pairs(n, SAME_SIGN) if p.total_length == n),
         key=lambda p: -pair_iota(p),
@@ -368,26 +383,14 @@ def check_splice_inequalities(n: int) -> ChainCheckReport:
     if n < 22 or n % 2 != 0:
         raise ValueError(f"splice inequalities need even n >= 22, got {n}")
     center = _center(n - 2)
-    steps = [
-        _pair(center, -1, n - 2 - center, -1, n),
-        _pair(2, 1, n - 2, 1, n),
-        _pair(center, 1, n - 2 - center, 1, n),
+    chains = [
+        [_pair(center, -1, n - 2 - center, -1), _pair(2, 1, n - 2, 1), _pair(center, 1, n - 2 - center, 1)],
+        [_pair(6, 1, n - 6, 1), _pair(2, -1, n - 4, -1), _pair(4, 1, n - 4, 1)],
     ]
-    chains = [steps, [
-        _pair(6, 1, n - 6, 1, n),
-        _pair(2, -1, n - 4, -1, n),
-        _pair(4, 1, n - 4, 1, n),
-    ]]
     for chain in chains:
-        values = [pair_iota(p) for p in chain]
-        for i in range(1, len(values)):
-            if values[i - 1] - values[i] <= TIE_TOL:
-                return ChainCheckReport(
-                    n,
-                    SAME_SIGN,
-                    passed=False,
-                    detail=f"no strict drop from {chain[i - 1]} to {chain[i]}",
-                )
+        detail = _strict_descent_detail(chain)
+        if detail:
+            return ChainCheckReport(n, SAME_SIGN, passed=False, detail=detail)
     if splice_gap(n) >= 2.0 * math.sqrt(3.0) - 2.0:
         return ChainCheckReport(n, SAME_SIGN, passed=False, detail=f"splice gap too large at n={n}")
     return ChainCheckReport(n, SAME_SIGN, passed=True)
@@ -412,8 +415,8 @@ def expected_floating_brackets(budget_n: int) -> tuple[CyclePair, CyclePair] | N
     ]
     for lo, hi, m in bands:
         if lo <= budget_n <= hi:
-            above = _pair(m, -1, budget_n - m - 2, 1, budget_n)
-            below = _pair(m + 2, -1, budget_n - m - 4, 1, budget_n)
+            above = _pair(m, -1, budget_n - m - 2, 1)
+            below = _pair(m + 2, -1, budget_n - m - 4, 1)
             return above, below
     return None
 
@@ -422,7 +425,7 @@ def locate_floating_pair(budget_n: int) -> FloatingPairReport:
     """Rank and neighbors of (C_{n-2}^-, C_2^+) in the full mixed ordering."""
     if budget_n % 2 != 0 or budget_n < 10:
         raise ValueError(f"floating pair needs an even budget >= 10, got {budget_n}")
-    target = _pair(budget_n - 2, -1, 2, 1, budget_n)
+    target = _pair(budget_n - 2, -1, 2, 1)
     sequence = ordered_sequence(budget_n, MIXED_SIGN, exclude_floating=False)
     for i, entry in enumerate(sequence.entries):
         if entry.pair == target:
@@ -462,8 +465,8 @@ def extremal_pairs(budget_n: int) -> tuple[OrderingEntry, OrderingEntry]:
     top_value, top_pair = valued[0]
     low_value, low_pair = valued[-1]
     longest = budget_n - 2 if budget_n % 2 == 0 else budget_n - 3
-    expected_max = _pair(2, -1, longest, -1, budget_n)
-    expected_min = _pair(2, 1, 2, 1, budget_n)
+    expected_max = _pair(2, -1, longest, -1)
+    expected_min = _pair(2, 1, 2, 1)
     if top_pair != expected_max:
         raise RuntimeError(f"maximum {top_pair} is not the expected {expected_max}")
     if low_pair != expected_min:
@@ -483,6 +486,7 @@ __all__ = [
     "ChainCheckReport",
     "enumerate_pairs",
     "ordered_sequence",
+    "restrict",
     "small_budget_same_sign_order",
     "predicted_same_sign_chain",
     "predicted_mixed_chain",

@@ -40,14 +40,15 @@ def run_verification(
         raise ValueError(f"n_max must be >= 4, got {n_max}")
     results: list[CheckResult] = []
 
+    # Each budget's ordering is the n_max ordering restricted to the pairs that fit.
+    same_sign = orderings.ordered_sequence(n_max, orderings.SAME_SIGN)
+    mixed = orderings.ordered_sequence(n_max, orderings.MIXED_SIGN, exclude_floating=True)
     for n in range(22, n_max + 1):
-        results.append(
-            _from_report(f"same-sign chain n={n}", orderings.check_same_sign_chain(n, tie_tol))
-        )
+        report = orderings.check_same_sign_chain(orderings.restrict(same_sign, n, tie_tol))
+        results.append(_from_report(f"same-sign chain n={n}", report))
     for n in range(6, n_max + 1):
-        results.append(
-            _from_report(f"mixed chain n={n}", orderings.check_mixed_chain(n, tie_tol))
-        )
+        report = orderings.check_mixed_chain(orderings.restrict(mixed, n, tie_tol))
+        results.append(_from_report(f"mixed chain n={n}", report))
     for n in range(6, n_max + 1, 2):
         results.append(
             _from_report(f"exact-total chain n={n}", orderings.check_exact_total_chain(n))

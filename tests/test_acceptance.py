@@ -38,7 +38,7 @@ from sidigraph import (
     splice_gap,
 )
 from sidigraph.cli import main
-from sidigraph.orderings import SAME_SIGN
+from sidigraph.orderings import MIXED_SIGN, SAME_SIGN
 from sidigraph.render import ordering_to_csv, ordering_to_svg
 
 
@@ -85,7 +85,9 @@ def test_criterion_2_closed_form_vs_spectral_oracle(capsys):
 
 def test_criterion_3_same_sign_pattern_22_to_60(capsys):
     mismatches = [
-        (n, r.detail) for n in range(22, 61) if not (r := check_same_sign_chain(n)).passed
+        (n, r.detail)
+        for n in range(22, 61)
+        if not (r := check_same_sign_chain(ordered_sequence(n, SAME_SIGN))).passed
     ]
     with capsys.disabled():
         report(3, not mismatches, f"{39 - len(mismatches)}/39 budgets match, ties included")
@@ -94,7 +96,9 @@ def test_criterion_3_same_sign_pattern_22_to_60(capsys):
 
 def test_criterion_4_mixed_pattern_6_to_60(capsys):
     mismatches = [
-        (n, r.detail) for n in range(6, 61) if not (r := check_mixed_chain(n)).passed
+        (n, r.detail)
+        for n in range(6, 61)
+        if not (r := check_mixed_chain(ordered_sequence(n, MIXED_SIGN, exclude_floating=True))).passed
     ]
     with capsys.disabled():
         report(4, not mismatches, f"{55 - len(mismatches)}/55 budgets match")

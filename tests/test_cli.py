@@ -1,3 +1,4 @@
+import hashlib
 import os
 import stat
 
@@ -228,6 +229,28 @@ def test_verify_reports_bracket_defect_at_48(capsys):
     failing = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(failing) == 1
     assert "floating-pair bracket n=48" in failing[0]
+
+
+# sha256 of stdout.  Refactors keep these outputs byte-identical; change a
+# digest only together with a deliberate change of the output.
+PINNED_OUTPUT_SHA256 = {
+    ("verify", "--n-max", "46"): "8dd045c4368ae93c3cc45aa8957f3e6d558a0fe85e11590f16104b187c32f0ce",
+    ("ordering", "27", "--same-sign", "--format", "csv"): "4982bc290cd64dd4289a925f8f74e315c23a4617a9d083c1405e1840c2dc3a80",
+    ("ordering", "27", "--same-sign", "--format", "svg"): "727f666fe9843fed0cc610e7ad306cb9c0c665afbfb6f7269d9691763a46da9c",
+    ("ordering", "27", "--mixed", "--format", "csv"): "32d0043920bbf64e2949b7d53ecacd11da3a794d217e6cec5d5d3d88f4166f63",
+    ("ordering", "27", "--mixed", "--format", "svg"): "d0b5fc31b24a8d22ae23aea34f2137bc21914ecf64a3a3d63ca96de8003a3b47",
+    ("ordering", "150", "--same-sign", "--format", "csv"): "dd4b2a060756e29beb45305a728bcecf9c17f5389e44a352ce9cd2a56ae89bcd",
+    ("ordering", "150", "--same-sign", "--format", "svg"): "19690f2d87e10182b04811383fa957f6798d6eb1e07a9009a95cf32cd341f186",
+    ("ordering", "150", "--mixed", "--format", "csv"): "08db5e49e218cd394be557420e191907533c6d52b6bafe3462a953badfecfd84",
+    ("ordering", "150", "--mixed", "--format", "svg"): "6466d69afc278fc3921090d913c838700e24a46eedd3deb96c033e78647303ce",
+}
+
+
+def test_outputs_are_byte_identical_to_pinned_digests(capsys):
+    for argv, expected in PINNED_OUTPUT_SHA256.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, argv
 
 
 # --- spectrum ----------------------------------------------------------------

@@ -20,8 +20,8 @@ from sidigraph import (
 from oracles import abs_cos_sum_energy, abs_sin_sum_iota
 
 
-def P(l1, s1, l2, s2, budget):
-    return CyclePair(SignedCycle(l1, s1), SignedCycle(l2, s2), budget)
+def P(l1, s1, l2, s2):
+    return CyclePair(SignedCycle(l1, s1), SignedCycle(l2, s2))
 
 
 def test_energy_cycle_cases():
@@ -83,9 +83,9 @@ def test_negative_beats_positive_for_even_lengths():
 
 def test_pair_iota_examples():
     # 2 + 2*csc(pi/24) = 17.3225951510808 (40-digit arithmetic)
-    assert pair_iota(P(2, -1, 24, -1, 27)) == pytest.approx(17.3225951510808, abs=1e-10)
-    assert pair_iota(P(2, 1, 2, 1, 4)) == 0.0
-    both = pair_iota(P(4, 1, 8, 1, 22)), pair_iota(P(4, -1, 6, -1, 22))
+    assert pair_iota(P(2, -1, 24, -1)) == pytest.approx(17.3225951510808, abs=1e-10)
+    assert pair_iota(P(2, 1, 2, 1)) == 0.0
+    both = pair_iota(P(4, 1, 8, 1)), pair_iota(P(4, -1, 6, -1))
     assert both[0] == pytest.approx(4.0 + 2.0 * math.sqrt(2.0), abs=1e-12)
     assert both[1] == pytest.approx(4.0 + 2.0 * math.sqrt(2.0), abs=1e-12)
 
@@ -103,4 +103,4 @@ def test_case_labels():
 def test_exact_zero_for_c2_plus_pair():
     # the minimum of every family must be exactly zero, not rounding noise
     assert iota_energy_cycle(2, 1) == 0.0
-    assert pair_iota(P(2, 1, 2, 1, 10)) == 0.0
+    assert pair_iota(P(2, 1, 2, 1)) == 0.0

@@ -152,14 +152,14 @@ def test_cycle_constructor_invariants(n, sign):
 
 
 def test_cycle_pair_canonicalization():
-    p = CyclePair(SignedCycle(4, 1), SignedCycle(2, -1), 10)
+    p = CyclePair(SignedCycle(4, 1), SignedCycle(2, -1))
     assert (p.c1.length, p.c1.sign) == (2, -1)
     assert (p.c2.length, p.c2.sign) == (4, 1)
     # minus sorts before plus at equal length
-    q = CyclePair(SignedCycle(4, 1), SignedCycle(4, -1), 10)
+    q = CyclePair(SignedCycle(4, 1), SignedCycle(4, -1))
     assert q.c1.sign == -1
     # idempotent under re-construction
-    assert CyclePair(p.c1, p.c2, 10) == p
+    assert CyclePair(p.c1, p.c2) == p
 
 
 def test_cycle_pair_total_over_valid_inputs():
@@ -168,16 +168,14 @@ def test_cycle_pair_total_over_valid_inputs():
             for l2 in range(2, budget - l1 + 1, 2):
                 for s1 in (1, -1):
                     for s2 in (1, -1):
-                        p = CyclePair(SignedCycle(l1, s1), SignedCycle(l2, s2), budget)
-                        assert p == CyclePair(p.c1, p.c2, budget)
+                        p = CyclePair(SignedCycle(l1, s1), SignedCycle(l2, s2))
+                        assert p == CyclePair(p.c1, p.c2)
                         assert p.total_length == l1 + l2
 
 
 def test_cycle_pair_validation():
     with pytest.raises(ValueError):
-        CyclePair(SignedCycle(3, 1), SignedCycle(2, 1), 10)  # odd length
-    with pytest.raises(ValueError):
-        CyclePair(SignedCycle(6, 1), SignedCycle(6, 1), 10)  # over budget
+        CyclePair(SignedCycle(3, 1), SignedCycle(2, 1))  # odd length
 
 
 def test_edge_list_round_trip():

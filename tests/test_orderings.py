@@ -18,24 +18,25 @@ from sidigraph import (
     pair_iota,
     predicted_mixed_chain,
     predicted_same_sign_chain,
+    restrict,
     splice_gap,
 )
 from sidigraph.orderings import MIXED_SIGN, SAME_SIGN, small_budget_same_sign_order
 from oracles import brute_force_sign_pairs
 
 
-def P(l1, s1, l2, s2, budget):
-    return CyclePair(SignedCycle(l1, s1), SignedCycle(l2, s2), budget)
+def P(l1, s1, l2, s2):
+    return CyclePair(SignedCycle(l1, s1), SignedCycle(l2, s2))
 
 
 # --- enumeration -----------------------------------------------------------
 
 def test_enumerate_small_families():
-    assert set(enumerate_pairs(4, SAME_SIGN)) == {P(2, 1, 2, 1, 4), P(2, -1, 2, -1, 4)}
+    assert set(enumerate_pairs(4, SAME_SIGN)) == {P(2, 1, 2, 1), P(2, -1, 2, -1)}
     assert set(enumerate_pairs(6, MIXED_SIGN)) == {
-        P(2, -1, 2, 1, 6),
-        P(2, -1, 4, 1, 6),
-        P(2, 1, 4, -1, 6),
+        P(2, -1, 2, 1),
+        P(2, -1, 4, 1),
+        P(2, 1, 4, -1),
     }
     # 8 pairs: even partitions (2,2),(2,4),(2,6),(4,4) times two sign classes
     assert len(enumerate_pairs(8, SAME_SIGN)) == 8
@@ -50,6 +51,15 @@ def test_enumeration_against_brute_force(budget, mixed):
         for p in enumerate_pairs(budget, sign_class)
     }
     assert keys == brute_force_sign_pairs(budget, mixed)
+
+
+@pytest.mark.parametrize("sign_class", [SAME_SIGN, MIXED_SIGN])
+def test_enumeration_is_unique_and_in_order(sign_class):
+    for budget in range(4, 41):
+        pairs = enumerate_pairs(budget, sign_class)
+        assert len(set(pairs)) == len(pairs)
+        keys = [(p.total_length, p.c1.length, p.c1.sign, p.c2.sign) for p in pairs]
+        assert keys == sorted(keys)
 
 
 def test_enumerate_validation():
@@ -74,9 +84,9 @@ def test_ordering_budget_4():
 def test_ordering_budget_27_head_and_tail():
     seq = ordered_sequence(27, SAME_SIGN)
     head, tail = seq.entries[0], seq.entries[-1]
-    assert head.pair == P(2, -1, 24, -1, 27)
+    assert head.pair == P(2, -1, 24, -1)
     assert head.value == pytest.approx(17.3225951510808, abs=1e-10)
-    assert tail.pair == P(2, 1, 2, 1, 27)
+    assert tail.pair == P(2, 1, 2, 1)
     assert tail.value == 0.0
 
 
@@ -141,6 +151,20 @@ def test_tie_groups_budget_22():
         assert es[0].pair.total_length >= es[-1].pair.total_length
 
 
+@pytest.mark.parametrize(
+    "sign_class, exclude",
+    [(SAME_SIGN, False), (MIXED_SIGN, True), (MIXED_SIGN, False)],
+)
+def test_restrict_equals_ordering_at_smaller_budget(sign_class, exclude):
+    full = ordered_sequence(61, sign_class, exclude_floating=exclude)
+    for n in range(4, 62):
+        assert restrict(full, n) == ordered_sequence(n, sign_class, exclude_floating=exclude), n
+    with pytest.raises(ValueError):
+        restrict(full, 62)
+    with pytest.raises(ValueError):
+        restrict(full, 3)
+
+
 def test_small_budget_order_matches_numeric():
     for budget in range(4, 22):
         expected = small_budget_same_sign_order(budget)
@@ -174,13 +198,13 @@ def test_gap_audit():
 
 @pytest.mark.parametrize("n", range(22, 61))
 def test_same_sign_chain_matches_sort(n):
-    report = check_same_sign_chain(n)
+    report = check_same_sign_chain(ordered_sequence(n, SAME_SIGN))
     assert report.passed, report.detail
 
 
 @pytest.mark.parametrize("n", range(6, 61))
 def test_mixed_chain_matches_sort(n):
-    report = check_mixed_chain(n)
+    report = check_mixed_chain(ordered_sequence(n, MIXED_SIGN, exclude_floating=True))
     assert report.passed, report.detail
 
 
@@ -211,10 +235,10 @@ def test_exact_total_chain(n):
 def test_exact_total_chain_examples():
     # n=8 chain: (C2-,C6-) > (C4-,C4-) > (C4+,C4+) > (C2+,C6+)
     values = [
-        pair_iota(P(2, -1, 6, -1, 8)),
-        pair_iota(P(4, -1, 4, -1, 8)),
-        pair_iota(P(4, 1, 4, 1, 8)),
-        pair_iota(P(2, 1, 6, 1, 8)),
+        pair_iota(P(2, -1, 6, -1)),
+        pair_iota(P(4, -1, 4, -1)),
+        pair_iota(P(4, 1, 4, 1)),
+        pair_iota(P(2, 1, 6, 1)),
     ]
     assert values == sorted(values, reverse=True)
     assert check_exact_total_chain(8).passed
@@ -241,16 +265,16 @@ def test_splice_gap_value():
 def test_floating_pair_examples():
     report = locate_floating_pair(12)
     assert report.above is not None and report.below is not None
-    assert report.above.pair == P(2, -1, 8, 1, 12)
-    assert report.below.pair == P(4, -1, 6, 1, 12)
+    assert report.above.pair == P(2, -1, 8, 1)
+    assert report.below.pair == P(4, -1, 6, 1)
 
     report = locate_floating_pair(20)
-    assert report.above.pair == P(4, -1, 14, 1, 20)
-    assert report.below.pair == P(6, -1, 12, 1, 20)
+    assert report.above.pair == P(4, -1, 14, 1)
+    assert report.below.pair == P(6, -1, 12, 1)
 
     report = locate_floating_pair(40)
-    assert report.above.pair == P(10, -1, 28, 1, 40)
-    assert report.below.pair == P(12, -1, 26, 1, 40)
+    assert report.above.pair == P(10, -1, 28, 1)
+    assert report.below.pair == P(12, -1, 26, 1)
 
 
 def test_floating_pair_validation():
@@ -304,17 +328,17 @@ def test_full_ordering_differs_only_by_floating_pairs():
 
 def test_extremal_examples():
     maximum, minimum = extremal_pairs(27)
-    assert maximum.pair == P(2, -1, 24, -1, 27)
+    assert maximum.pair == P(2, -1, 24, -1)
     assert maximum.value == pytest.approx(17.3225951510808, abs=1e-10)
-    assert minimum.pair == P(2, 1, 2, 1, 27)
+    assert minimum.pair == P(2, 1, 2, 1)
     assert minimum.value == 0.0
 
     maximum, _ = extremal_pairs(6)
-    assert maximum.pair == P(2, -1, 4, -1, 6)
+    assert maximum.pair == P(2, -1, 4, -1)
     assert maximum.value == pytest.approx(2.0 + 2.0 * math.sqrt(2.0), abs=1e-12)
 
     maximum, minimum = extremal_pairs(4)
-    assert maximum.pair == P(2, -1, 2, -1, 4)
+    assert maximum.pair == P(2, -1, 2, -1)
     assert maximum.value == pytest.approx(4.0, abs=1e-12)
 
 

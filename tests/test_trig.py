@@ -89,9 +89,9 @@ def test_standard_claims_certify(n):
 @pytest.mark.parametrize("n", range(6, 31, 2))
 def test_integer_points_match_pair_values(n):
     for m in range(2, n - 1, 2):
-        pp = CyclePair(SignedCycle(m, 1), SignedCycle(n - m, 1), n)
-        nn = CyclePair(SignedCycle(m, -1), SignedCycle(n - m, -1), n)
-        pm = CyclePair(SignedCycle(m, -1), SignedCycle(n - m, 1), n)
+        pp = CyclePair(SignedCycle(m, 1), SignedCycle(n - m, 1))
+        nn = CyclePair(SignedCycle(m, -1), SignedCycle(n - m, -1))
+        pm = CyclePair(SignedCycle(m, -1), SignedCycle(n - m, 1))
         assert abs(f_cot_cot(m, n) - pair_iota(pp)) <= 1e-12
         assert abs(f_csc_csc(m, n) - pair_iota(nn)) <= 1e-12
         assert abs(f_csc_cot(m, n) - pair_iota(pm)) <= 1e-12
