@@ -19,7 +19,6 @@ from .graphs import (
     SignedCycle,
     SignedDigraph,
     adjacency_matrix,
-    cycle_sign,
     format_edge_list,
     join_with_arc,
     make_cycle,
@@ -30,7 +29,6 @@ from .graphs import (
 from .orderings import (
     MIXED_SIGN,
     SAME_SIGN,
-    ChainCheckReport,
     FloatingPairReport,
     OrderingEntry,
     OrderingSequence,

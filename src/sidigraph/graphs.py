@@ -179,34 +179,12 @@ def strong_components(g: SignedDigraph) -> list[SignedDigraph]:
     return [_induced(g, comp) for comp in components]
 
 
-def cycle_sign(g: SignedDigraph) -> int:
-    """Product of arc signs of a digraph that is one directed cycle."""
-    n = g.n_vertices
-    if g.n_arcs != n or n < 2:
-        raise ValueError("input is not a single directed cycle")
-    succ: dict[int, int] = {}
-    for tail, head, _sign in g.arcs:
-        if tail in succ:
-            raise ValueError("input is not a single directed cycle")
-        succ[tail] = head
-    v = 0
-    seen = set()
-    for _ in range(n):
-        if v in seen or v not in succ:
-            raise ValueError("input is not a single directed cycle")
-        seen.add(v)
-        v = succ[v]
-    if v != 0 or len(seen) != n:
-        raise ValueError("input is not a single directed cycle")
-    sign = 1
-    for _t, _h, s in g.arcs:
-        sign *= s
-    return sign
-
-
 @dataclass(frozen=True, order=True)
 class SignedCycle:
-    """An abstract directed cycle of a given length and sign."""
+    """An abstract directed cycle of a given length and sign.
+
+    Cycles order by (length, sign): minus before plus at equal length.
+    """
 
     length: int
     sign: int
@@ -215,10 +193,6 @@ class SignedCycle:
         check_sign(self.sign)
         if self.length < 2:
             raise ValueError(f"cycle length must be >= 2, got {self.length}")
-
-    def sort_key(self) -> tuple[int, int]:
-        # minus sorts before plus at equal length
-        return (self.length, 0 if self.sign == -1 else 1)
 
     def as_digraph(self) -> SignedDigraph:
         return make_cycle(self.length, self.sign)
@@ -244,7 +218,7 @@ class CyclePair:
         for c in (self.c1, self.c2):
             if c.length % 2 != 0:
                 raise ValueError(f"pair cycles must have even length, got {c.length}")
-        if self.c1.sort_key() > self.c2.sort_key():
+        if self.c1 > self.c2:
             c1, c2 = self.c1, self.c2
             object.__setattr__(self, "c1", c2)
             object.__setattr__(self, "c2", c1)
@@ -257,9 +231,9 @@ class CyclePair:
     def n_positive(self) -> int:
         return (self.c1.sign > 0) + (self.c2.sign > 0)
 
-    def as_digraph(self, bridge_sign: int = 1) -> SignedDigraph:
-        """A connected witness: the two cycles joined by one arc."""
-        return join_with_arc(self.c1.as_digraph(), self.c2.as_digraph(), 0, 0, bridge_sign)
+    def as_digraph(self) -> SignedDigraph:
+        """A connected witness: the two cycles joined by one positive arc."""
+        return join_with_arc(self.c1.as_digraph(), self.c2.as_digraph(), 0, 0, 1)
 
     def __str__(self) -> str:
         return f"({self.c1},{self.c2})"

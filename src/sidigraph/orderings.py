@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cycle_formulas import pair_iota
+from .cycle_formulas import iota_energy_cycle, pair_iota
 from .graphs import CyclePair, SignedCycle
 
 SAME_SIGN = "same_sign"
@@ -45,14 +45,6 @@ class FloatingPairReport:
     entry: OrderingEntry
     above: OrderingEntry | None
     below: OrderingEntry | None
-
-
-@dataclass(frozen=True)
-class ChainCheckReport:
-    budget_n: int
-    sign_class: str
-    passed: bool
-    detail: str = ""
 
 
 def _check_sign_class(sign_class: str) -> None:
@@ -132,6 +124,8 @@ def restrict(sequence: OrderingSequence, budget_n: int, tie_tol: float = TIE_TOL
 
 def _grouped(valued: list[tuple[float, CyclePair]], tie_tol: float) -> tuple[OrderingEntry, ...]:
     """Sort (value, pair) items descending and chain values within tie_tol into tie groups."""
+    # The tie-break key orders exactly equal values that a negative tie_tol keeps
+    # in separate groups, e.g. (C2+,C8+) and (C2-,C4-).
     valued = sorted(valued, key=lambda item: (-item[0], _tie_break_key(item[1])))
     groups: list[list[tuple[float, CyclePair]]] = []
     for value, pair in valued:
@@ -315,18 +309,20 @@ def _compare_chain(
     return ""
 
 
-def check_same_sign_chain(sequence: OrderingSequence) -> ChainCheckReport:
-    """Verify the same-sign block pattern against a numeric same-sign ordering."""
-    expected = predicted_same_sign_chain(sequence.budget_n)
-    detail = _compare_chain(sequence, expected)
-    return ChainCheckReport(sequence.budget_n, SAME_SIGN, passed=not detail, detail=detail)
+def check_same_sign_chain(sequence: OrderingSequence) -> str:
+    """Verify the same-sign block pattern against a numeric same-sign ordering.
+
+    Returns "" on a pass, else the first mismatch.
+    """
+    return _compare_chain(sequence, predicted_same_sign_chain(sequence.budget_n))
 
 
-def check_mixed_chain(sequence: OrderingSequence) -> ChainCheckReport:
-    """Verify the mixed block pattern against a floating-free numeric mixed ordering."""
-    expected = [(p, False) for p in predicted_mixed_chain(sequence.budget_n)]
-    detail = _compare_chain(sequence, expected)
-    return ChainCheckReport(sequence.budget_n, MIXED_SIGN, passed=not detail, detail=detail)
+def check_mixed_chain(sequence: OrderingSequence) -> str:
+    """Verify the mixed block pattern against a floating-free numeric mixed ordering.
+
+    Returns "" on a pass, else the first mismatch.
+    """
+    return _compare_chain(sequence, [(p, False) for p in predicted_mixed_chain(sequence.budget_n)])
 
 
 def _strict_descent_detail(chain: list[CyclePair]) -> str:
@@ -338,12 +334,13 @@ def _strict_descent_detail(chain: list[CyclePair]) -> str:
     return ""
 
 
-def check_exact_total_chain(n: int) -> ChainCheckReport:
+def check_exact_total_chain(n: int) -> str:
     """Verify the descending chain of pairs whose total is exactly n.
 
     The chain runs through the (-,-) pairs from (2, n-2) to the center and
     back out through the (+,+) pairs to (2, n-2); it must both decrease
     strictly and agree with the numeric sort of the exact-total family.
+    Returns "" on a pass, else what failed.
     """
     if n <= 4 or n % 2 != 0:
         raise ValueError(f"total must be even and > 4, got {n}")
@@ -351,14 +348,12 @@ def check_exact_total_chain(n: int) -> ChainCheckReport:
     chain.extend(_pair(m, 1, n - m, 1) for m in range(_center(n), 1, -2))
     detail = _strict_descent_detail(chain)
     if detail:
-        return ChainCheckReport(n, SAME_SIGN, passed=False, detail=detail)
+        return detail
     numeric = sorted(
         (p for p in enumerate_pairs(n, SAME_SIGN) if p.total_length == n),
         key=lambda p: -pair_iota(p),
     )
-    if numeric != chain:
-        return ChainCheckReport(n, SAME_SIGN, passed=False, detail="chain disagrees with numeric sort")
-    return ChainCheckReport(n, SAME_SIGN, passed=True)
+    return "" if numeric == chain else "chain disagrees with numeric sort"
 
 
 def splice_gap(n: int) -> float:
@@ -370,15 +365,16 @@ def splice_gap(n: int) -> float:
     """
     if n < 22 or n % 2 != 0:
         raise ValueError(f"splice gap is defined for even n >= 22, got {n}")
-    return 2.0 / math.sin(math.pi / (n - 4)) - 2.0 / math.tan(math.pi / (n - 6))
+    return iota_energy_cycle(n - 4, -1) - iota_energy_cycle(n - 6, 1)
 
 
-def check_splice_inequalities(n: int) -> ChainCheckReport:
+def check_splice_inequalities(n: int) -> str:
     """Verify the three strict inequalities that splice adjacent blocks.
 
     For even n >= 22: the center (-,-) pair of total n-2 beats
     (C_2^+, C_{n-2}^+), which beats the center (+,+) pair of total n-2; and
     (C_6^+, C_{n-6}^+) > (C_2^-, C_{n-4}^-) > (C_4^+, C_{n-4}^+).
+    Returns "" on a pass, else the first inequality that fails.
     """
     if n < 22 or n % 2 != 0:
         raise ValueError(f"splice inequalities need even n >= 22, got {n}")
@@ -390,10 +386,10 @@ def check_splice_inequalities(n: int) -> ChainCheckReport:
     for chain in chains:
         detail = _strict_descent_detail(chain)
         if detail:
-            return ChainCheckReport(n, SAME_SIGN, passed=False, detail=detail)
+            return detail
     if splice_gap(n) >= 2.0 * math.sqrt(3.0) - 2.0:
-        return ChainCheckReport(n, SAME_SIGN, passed=False, detail=f"splice gap too large at n={n}")
-    return ChainCheckReport(n, SAME_SIGN, passed=True)
+        return f"splice gap too large at n={n}"
+    return ""
 
 
 def expected_floating_brackets(budget_n: int) -> tuple[CyclePair, CyclePair] | None:
@@ -461,9 +457,14 @@ def extremal_pairs(budget_n: int) -> tuple[OrderingEntry, OrderingEntry]:
     if budget_n < 4:
         raise ValueError(f"budget must be >= 4, got {budget_n}")
     pairs = enumerate_pairs(budget_n, SAME_SIGN) + enumerate_pairs(budget_n, MIXED_SIGN)
-    valued = sorted(((pair_iota(p), p) for p in pairs), key=lambda item: (-item[0], _tie_break_key(item[1])))
-    top_value, top_pair = valued[0]
-    low_value, low_pair = valued[-1]
+    valued = [(pair_iota(p), p) for p in pairs]
+
+    def key(item: tuple[float, CyclePair]) -> tuple[float, tuple[int, int, int]]:
+        return (-item[0], _tie_break_key(item[1]))
+
+    # the two ends of a stable sort by key: reversed() makes max() keep the last of equals
+    top_value, top_pair = min(valued, key=key)
+    low_value, low_pair = max(reversed(valued), key=key)
     longest = budget_n - 2 if budget_n % 2 == 0 else budget_n - 3
     expected_max = _pair(2, -1, longest, -1)
     expected_min = _pair(2, 1, 2, 1)
@@ -483,7 +484,6 @@ __all__ = [
     "OrderingEntry",
     "OrderingSequence",
     "FloatingPairReport",
-    "ChainCheckReport",
     "enumerate_pairs",
     "ordered_sequence",
     "restrict",

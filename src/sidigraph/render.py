@@ -39,13 +39,14 @@ def ordering_to_text(sequence: OrderingSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ordering_to_svg(sequence: OrderingSequence, width: int = 900, height: int = 480) -> str:
+def ordering_to_svg(sequence: OrderingSequence) -> str:
     """Rank-vs-value scatter with a connecting line; tie groups share one y.
 
     Members of a tie group are drawn in a second color and linked by a
     horizontal bar to make the merge visible.
     """
     entries = sequence.entries
+    width, height = 900, 480
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 46, 50
     plot_w = width - margin_left - margin_right
     plot_h = height - margin_top - margin_bottom

@@ -26,8 +26,8 @@ class CheckResult:
     detail: str = ""
 
 
-def _from_report(name: str, report) -> CheckResult:
-    return CheckResult(name=name, passed=report.passed, detail=report.detail)
+def _from_detail(name: str, detail: str) -> CheckResult:
+    return CheckResult(name, not detail, detail)
 
 
 def run_verification(
@@ -44,23 +44,23 @@ def run_verification(
     same_sign = orderings.ordered_sequence(n_max, orderings.SAME_SIGN)
     mixed = orderings.ordered_sequence(n_max, orderings.MIXED_SIGN, exclude_floating=True)
     for n in range(22, n_max + 1):
-        report = orderings.check_same_sign_chain(orderings.restrict(same_sign, n, tie_tol))
-        results.append(_from_report(f"same-sign chain n={n}", report))
+        detail = orderings.check_same_sign_chain(orderings.restrict(same_sign, n, tie_tol))
+        results.append(_from_detail(f"same-sign chain n={n}", detail))
     for n in range(6, n_max + 1):
-        report = orderings.check_mixed_chain(orderings.restrict(mixed, n, tie_tol))
-        results.append(_from_report(f"mixed chain n={n}", report))
+        detail = orderings.check_mixed_chain(orderings.restrict(mixed, n, tie_tol))
+        results.append(_from_detail(f"mixed chain n={n}", detail))
     for n in range(6, n_max + 1, 2):
         results.append(
-            _from_report(f"exact-total chain n={n}", orderings.check_exact_total_chain(n))
+            _from_detail(f"exact-total chain n={n}", orderings.check_exact_total_chain(n))
         )
     for n in range(22, n_max + 1, 2):
         results.append(
-            _from_report(f"block splice n={n}", orderings.check_splice_inequalities(n))
+            _from_detail(f"block splice n={n}", orderings.check_splice_inequalities(n))
         )
     for n in range(10, min(n_max, 48) + 1, 2):
         mismatch = orderings.floating_bracket_mismatch(orderings.locate_floating_pair(n))
         if mismatch is not None:
-            results.append(CheckResult(f"floating-pair bracket n={n}", not mismatch, mismatch))
+            results.append(_from_detail(f"floating-pair bracket n={n}", mismatch))
     for n in range(6, n_max + 1, 2):
         for function_id, interval, direction in trig.monotonicity_claims(n):
             report = trig.certify_monotone(function_id, n, interval, direction, grid_points)

@@ -85,9 +85,9 @@ def test_criterion_2_closed_form_vs_spectral_oracle(capsys):
 
 def test_criterion_3_same_sign_pattern_22_to_60(capsys):
     mismatches = [
-        (n, r.detail)
+        (n, detail)
         for n in range(22, 61)
-        if not (r := check_same_sign_chain(ordered_sequence(n, SAME_SIGN))).passed
+        if (detail := check_same_sign_chain(ordered_sequence(n, SAME_SIGN)))
     ]
     with capsys.disabled():
         report(3, not mismatches, f"{39 - len(mismatches)}/39 budgets match, ties included")
@@ -96,9 +96,9 @@ def test_criterion_3_same_sign_pattern_22_to_60(capsys):
 
 def test_criterion_4_mixed_pattern_6_to_60(capsys):
     mismatches = [
-        (n, r.detail)
+        (n, detail)
         for n in range(6, 61)
-        if not (r := check_mixed_chain(ordered_sequence(n, MIXED_SIGN, exclude_floating=True))).passed
+        if (detail := check_mixed_chain(ordered_sequence(n, MIXED_SIGN, exclude_floating=True)))
     ]
     with capsys.disabled():
         report(4, not mismatches, f"{55 - len(mismatches)}/55 budgets match")

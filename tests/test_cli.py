@@ -243,6 +243,15 @@ PINNED_OUTPUT_SHA256 = {
     ("ordering", "150", "--same-sign", "--format", "svg"): "19690f2d87e10182b04811383fa957f6798d6eb1e07a9009a95cf32cd341f186",
     ("ordering", "150", "--mixed", "--format", "csv"): "08db5e49e218cd394be557420e191907533c6d52b6bafe3462a953badfecfd84",
     ("ordering", "150", "--mixed", "--format", "svg"): "6466d69afc278fc3921090d913c838700e24a46eedd3deb96c033e78647303ce",
+    ("extremal", "4"): "223b4c4810000165398d856a0f3e1958e70a7b876afb27689c6b173f47f7ac95",
+    ("extremal", "27"): "5f5b16e8683322eb04edb3bfb8eec65250341fcf03624333e26629f2c69a39b4",
+    ("extremal", "150"): "ffd06bd63e9e7bcd8db895719123538ec940b1ab0709174c90b779ffdcdcca38",
+    ("extremal", "401"): "cd22e1fe5608c9c26703002f72adcc39f49923ae2c8b9d99affd2671828bbcc2",
+    ("floating-pair", "46"): "174b40c0fe2895cdc2f995e996cf54e671ffd7e55e4897d5bddcf25aa81e13d8",
+    # 22 same-sign has tie groups, so the svg draws tie bars
+    ("ordering", "22", "--same-sign", "--format", "svg"): "ed04e5255985466a3e5bda4057af5460f7d9e03fb312cd6fc543273ab5f36f32",
+    ("ordering", "22", "--same-sign", "--format", "text"): "e194594bf49df79353712e51bf3b2eef5d0968ea7d986de541b74c8e21c57702",
+    ("ordering", "27", "--mixed", "--include-floating", "--format", "csv"): "569365c1af2a8e85ae8be20aa21b5ceef22eaffe71d7f8c799b36da1413f1460",
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from sidigraph import (
     SignedCycle,
     SignedDigraph,
     adjacency_matrix,
-    cycle_sign,
     format_edge_list,
     join_with_arc,
     make_cycle,
@@ -133,22 +134,13 @@ def test_strong_components_with_tail_path():
     assert [len(e) for e in expected] == [3, 1, 1]
 
 
-def test_cycle_sign():
-    assert cycle_sign(make_cycle(4, -1)) == -1
-    assert cycle_sign(make_cycle(6, 1)) == 1
-    two_minus = SignedDigraph(3, ((0, 1, -1), (1, 2, -1), (2, 0, 1)))
-    assert cycle_sign(two_minus) == 1
-    with pytest.raises(ValueError):
-        cycle_sign(make_path(3))
-
-
 @pytest.mark.parametrize("n", range(2, 16))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cycle_constructor_invariants(n, sign):
     g = make_cycle(n, sign)
     comps = strong_components(g)
     assert len(comps) == 1
-    assert cycle_sign(comps[0]) == sign
+    assert math.prod(s for *_, s in comps[0].arcs) == sign
 
 
 def test_cycle_pair_canonicalization():
