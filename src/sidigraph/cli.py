@@ -34,6 +34,17 @@ def _parse_sign(text: str) -> int:
     return _SIGNS[text]
 
 
+def _tolerance(text: str) -> float:
+    """Tie tolerance: a number >= 0 (NaN and negatives never chain equal values)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}") from None
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {text!r}")
+    return value
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -163,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ord.add_argument("--format", choices=("csv", "svg", "text"), default="text")
     p_ord.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
-    p_ord.add_argument("--tolerance", type=float, default=orderings.TIE_TOL)
+    p_ord.add_argument("--tolerance", type=_tolerance, default=orderings.TIE_TOL)
     p_ord.set_defaults(func=_cmd_ordering)
 
     p_ext = sub.add_parser("extremal", help="maximal and minimal iota energy over both classes")
@@ -178,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full consistency suite")
     p_verify.add_argument("--n-max", type=int, default=30)
-    p_verify.add_argument("--tolerance", type=float, default=orderings.TIE_TOL)
+    p_verify.add_argument("--tolerance", type=_tolerance, default=orderings.TIE_TOL)
     p_verify.add_argument("--grid-points", type=int, default=10000)
     p_verify.set_defaults(func=_cmd_verify)
 

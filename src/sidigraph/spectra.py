@@ -6,8 +6,12 @@ is the one route: a singleton component contributes 0, a component with as
 many arcs as vertices is one signed cycle and contributes the n-th roots of
 its sign, and any other component goes through the numeric pipeline,
 adjacency matrix -> monic characteristic polynomial (trace recursion) ->
-simultaneous root iteration (Aberth-Ehrlich).  Numeric roots that are not
-finite or lie outside the Gershgorin disc raise RootFindingError.
+simultaneous root iteration (Aberth-Ehrlich, started on the circles of the
+Newton polygon).  Each stage refuses what it cannot vouch for with a
+RootFindingError: a trace recursion whose partial sums may pass 2^53, an
+iteration that does not reach the evaluation noise floor, a residual above
+its bound, and a root that is not finite or lies outside the Gershgorin
+disc.
 """
 from __future__ import annotations
 
@@ -20,10 +24,14 @@ import numpy as np
 
 from .graphs import SignedDigraph, adjacency_matrix, strong_components
 
-# Largest matrix char_poly accepts.  It does not make the float trace
-# recursion exact: coefficients of dense components pass 2^53 at roughly
-# 40-48 vertices, and eigenvalues rejects the roots that this corrupts.
+# Largest matrix char_poly accepts.  Below it, char_poly returns only
+# coefficients it has certified exact for an integer matrix; a recursion
+# whose partial sums may pass 2^53 raises RootFindingError instead.
 MAX_DIMENSION = 512
+
+# Every integer of magnitude at most 2^53 is a double, and so is every sum
+# of them that stays in that range.
+EXACT_INTEGER_LIMIT = 2.0**53
 
 # A root is accepted when |p(z)| <= RESIDUAL_TOL * (1 + |z|)^degree.
 RESIDUAL_TOL = 1e-10
@@ -64,8 +72,9 @@ class ComplexSpectrum:
 class RootFindingError(RuntimeError):
     """Root finding failed; carries diagnostics.
 
-    residuals is empty and iterations 0 when eigenvalues rejects a root
-    outside the Gershgorin bound.
+    roots and residuals are empty and iterations 0 when char_poly cannot
+    certify its coefficients; residuals is empty and iterations 0 when
+    eigenvalues rejects a root outside the Gershgorin bound.
     """
 
     def __init__(self, message: str, roots: tuple[complex, ...], residuals: tuple[float, ...], iterations: int):
@@ -78,11 +87,16 @@ class RootFindingError(RuntimeError):
 def char_poly(matrix: np.ndarray) -> Polynomial:
     """Monic characteristic polynomial det(xI - A) via trace recursion.
 
-    The Faddeev-LeVerrier recursion needs only matrix products and traces.
-    In doubles these are exact only while every intermediate stays below
-    2^53: true for cycles and sparse matrices of any supported size, but
-    dense signed digraphs pass it at roughly 40-48 vertices, after which the
-    coefficients are rounded.
+    The Faddeev-LeVerrier recursion M_k = A M_{k-1} + c_k I, with
+    c_k = -tr(A M_{k-1}) / k, needs only matrix products and traces.  For an
+    integer matrix every intermediate is an integer, and doubles hold it
+    exactly while every partial sum stays within 2^53.  With r the largest
+    absolute row sum of A, each step checks both bounds: r * max|M_{k-1}|
+    for every partial sum of A M_{k-1}, and sum_i |(A M_{k-1})_ii| for the
+    trace.  If either passes 2^53 the coefficients may be rounded, and a
+    RootFindingError with empty diagnostics is raised instead.  Cycles and
+    sparse components stay far inside the bound; dense ones of a few dozen
+    vertices pass it.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -90,10 +104,22 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     n = a.shape[0]
     if n > MAX_DIMENSION:
         raise ValueError(f"matrix dimension {n} exceeds supported maximum {MAX_DIMENSION}")
+    row_sum = float(np.abs(a).sum(axis=1).max(initial=0.0))
     descending = [1.0]
     m = np.eye(n)
     for k in range(1, n + 1):
+        product_bound = row_sum * float(np.abs(m).max())
         am = a @ m
+        trace_bound = float(np.abs(am.diagonal()).sum())
+        reached = max(product_bound, trace_bound)
+        if reached > EXACT_INTEGER_LIMIT:
+            raise RootFindingError(
+                "characteristic polynomial is not exact in double precision: "
+                f"step {k} of {n} reaches {reached:.3g} > 2^53",
+                roots=(),
+                residuals=(),
+                iterations=0,
+            )
         ck = -am.trace() / k
         descending.append(ck)
         m = am + ck * np.eye(n)
@@ -107,13 +133,41 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return result
 
 
-def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int]:
+def _newton_polygon_start(abs_c: np.ndarray) -> np.ndarray:
+    """Starting points on the circles of the Newton polygon (Bini 1996).
+
+    An edge from k to j of the upper convex hull of (k, log|c_k|) holds
+    j - k roots near the circle of radius (|c_k|/|c_j|)^(1/(j-k)); they
+    start there, evenly spaced, offset by 2*pi*k/degree + 0.4 so that points
+    on different circles stay apart.
+    """
+    degree = len(abs_c) - 1
+    hull: list[tuple[int, float]] = []
+    for k in np.flatnonzero(abs_c):
+        point = (int(k), math.log(abs_c[k]))
+        while len(hull) >= 2:
+            (k0, y0), (k1, y1) = hull[-2], hull[-1]
+            if (k1 - k0) * (point[1] - y0) - (y1 - y0) * (point[0] - k0) < 0:
+                break
+            hull.pop()
+        hull.append(point)
+    starts = []
+    for (k, yk), (j, yj) in zip(hull, hull[1:]):
+        count = j - k
+        radius = math.exp((yk - yj) / count)
+        angles = 2.0 * np.pi * np.arange(count) / count + 2.0 * np.pi * k / degree + 0.4
+        starts.append(radius * np.exp(1j * angles))
+    return np.concatenate(starts)
+
+
+def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, bool]:
     """Aberth-Ehrlich iteration for a monic polynomial with nonzero constant term.
 
-    Starts from a deterministic ring of points (radius from the Cauchy
-    coefficient bound, fixed angular offset) and iterates until every
+    Starts on the circles of the Newton polygon and iterates until every
     residual |p(z)| reaches the double-precision evaluation noise floor,
-    which is the best any polishing can do.
+    which is the best any polishing can do.  Returns the roots, the number
+    of iterations and whether every residual reached its floor within
+    max_iterations.
     """
     degree = len(coeffs) - 1
     c = coeffs.astype(np.complex128)
@@ -121,17 +175,14 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int]:
     abs_c = np.abs(c)
     eps = np.finfo(np.float64).eps
 
-    radius = 1.0 + float(np.max(abs_c[:-1]))
-    angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
-    z = radius * np.exp(1j * angles)
+    z = _newton_polygon_start(abs_c)
 
-    iterations = 0
     for iterations in range(1, max_iterations + 1):
         p = _horner(c, z)
         noise_floor = 4.0 * degree * eps * _horner(abs_c, np.abs(z)).real
         active = np.abs(p) > noise_floor
         if not active.any():
-            break
+            return z, iterations, True
         dp = _horner(dc, z)
         dp = np.where(dp == 0, eps, dp)
         w = p / dp
@@ -142,16 +193,18 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int]:
         denom = 1.0 - w * s
         denom = np.where(denom == 0, 1.0, denom)
         z = np.where(active, z - w / denom, z)
-    return z, iterations
+    return z, max_iterations, False
 
 
 def poly_roots(p: Polynomial, max_iterations: int = 1000) -> ComplexSpectrum:
     """All complex roots of a monic polynomial, with multiplicity.
 
     Roots at zero are deflated exactly (leading near-zero coefficients);
-    the rest come from the Aberth-Ehrlich iteration.  Every returned root
-    satisfies |p(z)| <= 1e-10 * (1 + |z|)^degree, otherwise a
-    RootFindingError with partial diagnostics is raised.
+    the rest come from the Aberth-Ehrlich iteration.  A RootFindingError
+    with the roots, residuals and iteration count is raised when the
+    iteration reaches max_iterations with a residual still above its
+    evaluation noise floor, or when a returned root would break
+    |p(z)| <= 1e-10 * (1 + |z|)^degree.
     """
     if p.degree < 1:
         raise ValueError("polynomial must have degree >= 1")
@@ -166,21 +219,23 @@ def poly_roots(p: Polynomial, max_iterations: int = 1000) -> ComplexSpectrum:
     reduced = coeffs[n_zero:]
 
     iterations = 0
+    converged = True
     if len(reduced) == 1:
         nonzero = np.empty(0, dtype=np.complex128)
     elif len(reduced) == 2:
         nonzero = np.array([-reduced[0] / reduced[1]], dtype=np.complex128)
     else:
-        nonzero, iterations = _aberth(reduced, max_iterations)
+        nonzero, iterations, converged = _aberth(reduced, max_iterations)
 
     roots = np.concatenate([np.zeros(n_zero, dtype=np.complex128), nonzero])
     residuals = np.abs(_horner(coeffs.astype(np.complex128), roots))
     bounds = RESIDUAL_TOL * (1.0 + np.abs(roots)) ** p.degree
-    if np.any(residuals > bounds):
+    if not converged or np.any(residuals > bounds):
         worst = int(np.argmax(residuals / bounds))
+        cause = "" if converged else " with residuals above the noise floor"
         raise RootFindingError(
-            f"root iteration stalled after {iterations} iterations: "
-            f"|p({roots[worst]:.6g})| = {residuals[worst]:.3g} exceeds "
+            f"root iteration stalled after {iterations} iterations{cause}: "
+            f"|p({roots[worst]:.6g})| = {residuals[worst]:.3g}, bound "
             f"{bounds[worst]:.3g}",
             roots=tuple(roots.tolist()),
             residuals=tuple(residuals.tolist()),

@@ -119,6 +119,23 @@ def test_ordering_tolerance_flag(capsys):
     assert tie_groups == {"1"}
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "-0.5"])
+@pytest.mark.parametrize("command", [["ordering", "10", "--same-sign"], ["verify", "--n-max", "6"]])
+def test_tolerance_must_be_nonnegative(capsys, command, tolerance):
+    # with a negative or NaN tolerance exactly equal values such as
+    # (C2+,C8+) and (C2-,C4-) would land in separate tie groups
+    code, out, err = run_cli(capsys, *command, "--tolerance", tolerance)
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be >= 0" in err
+
+
+@pytest.mark.parametrize("command", [["ordering", "10", "--same-sign"], ["verify", "--n-max", "6"]])
+def test_tolerance_zero_is_valid(capsys, command):
+    code, _, _ = run_cli(capsys, *command, "--tolerance", "0")
+    assert code == 0
+
+
 def test_ordering_include_floating(capsys):
     code, full_out, _ = run_cli(capsys, "ordering", "12", "--mixed", "--format", "csv", "--include-floating")
     code2, reduced_out, _ = run_cli(capsys, "ordering", "12", "--mixed", "--format", "csv")
@@ -334,7 +351,7 @@ def test_spectrum_dense_component_fails_loudly(tmp_path, capsys):
     code, out, err = run_cli(capsys, "spectrum", str(path))
     assert code == 1
     assert err.startswith("error:")
-    assert "Gershgorin" in err
+    assert "root iteration stalled" in err
     assert "energy" not in out
 
 

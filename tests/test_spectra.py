@@ -23,6 +23,7 @@ from sidigraph import (
     make_path,
     poly_roots,
 )
+from sidigraph import spectra
 from oracles import cofactor_char_poly, match_multisets
 from seeded_graphs import chained_blocks, dense_scc
 
@@ -66,6 +67,18 @@ def test_char_poly_cycles_sweep(n, sign):
     expected[0] = -sign
     expected[n] = 1.0
     assert np.max(np.abs(np.asarray(p.coeffs) - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_char_poly_refuses_inexact_trace_recursion(seed):
+    # density-4 components of 120 vertices pass 2^53 halfway through the
+    # recursion; their rounded polynomial gave wrong energies with exit 0
+    g = dense_scc(seed, 120, 480)
+    with pytest.raises(RootFindingError, match="not exact in double precision") as exc:
+        char_poly(adjacency_matrix(g))
+    assert (exc.value.roots, exc.value.residuals, exc.value.iterations) == ((), (), 0)
+    with pytest.raises(RootFindingError, match="not exact in double precision"):
+        eigenvalues(g)
 
 
 def test_char_poly_rejects_non_square():
@@ -114,6 +127,26 @@ def test_poly_roots_reports_failure_with_diagnostics():
     assert len(exc.value.roots) == 50
     assert len(exc.value.residuals) == 50
     assert exc.value.iterations == 1
+
+
+@pytest.mark.parametrize("degree", [128, 200])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_newton_polygon_start_converges_in_few_iterations(degree, sign):
+    # every root of x^d - sign lies on the unit circle, the one circle of the
+    # Newton polygon; a ring at the Cauchy radius 2 needed 40-74 iterations
+    p = Polynomial((-float(sign),) + (0.0,) * (degree - 1) + (1.0,))
+    spec = poly_roots(p, max_iterations=10)
+    match_multisets(spec.values, analytic_cycle_roots(degree, sign), 1e-10)
+
+
+def test_poly_roots_refuses_iteration_cap_above_noise_floor():
+    # at degree 200 the residual bound 1e-10 * (1 + |z|)^200 is about 1e50,
+    # so only the convergence rule can refuse roots two steps from the start
+    with pytest.raises(RootFindingError, match="above the noise floor") as exc:
+        poly_roots(Polynomial((1.0,) + (0.0,) * 199 + (1.0,)), max_iterations=2)
+    assert exc.value.iterations == 2
+    assert len(exc.value.roots) == len(exc.value.residuals) == 200
+    assert max(exc.value.residuals) > 1e-6
 
 
 @pytest.mark.parametrize("n", list(range(2, 33)) + [40, 48, 50, 64])
@@ -269,10 +302,33 @@ def test_dense_component_raises_instead_of_garbage(seed):
     # coefficients beyond 2^53 send the root iteration far outside the
     # Gershgorin bound (largest absolute row sum, 17-20 here)
     g = dense_scc(seed)
-    with pytest.raises(RootFindingError, match="Gershgorin"):
+    with pytest.raises(RootFindingError, match="root iteration stalled|not exact in double precision"):
         eigenvalues(g)
     with pytest.raises(RootFindingError):
         iota_energy_of_graph(g)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(40))
+def test_dense_component_refused_or_right(seed):
+    # a refusal is allowed; a spectrum that is returned must be right
+    g = dense_scc(seed)
+    try:
+        values = eigenvalues(g).values
+    except RootFindingError:
+        return
+    z = np.linalg.eigvals(adjacency_matrix(g).astype(np.float64))
+    assert iota_energy(values) == pytest.approx(np.abs(z.imag).sum(), abs=1e-6)
+    assert energy(values) == pytest.approx(np.abs(z.real).sum(), abs=1e-6)
+
+
+def test_gershgorin_guard_rejects_root_outside_disc(monkeypatch):
+    # no real input reaches this guard once char_poly and poly_roots refuse
+    # what they cannot vouch for, so a stand-in root finder feeds it
+    g = SignedDigraph(6, tuple((i, j, 1) for i in range(6) for j in range(6) if i != j))
+    monkeypatch.setattr(spectra, "poly_roots", lambda p: ComplexSpectrum((6.0,) + (-1.0,) * 5))
+    with pytest.raises(RootFindingError, match="Gershgorin"):
+        eigenvalues(g)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
