@@ -251,32 +251,39 @@ def test_verify_reports_bracket_defect_at_48(capsys):
 # sha256 of stdout.  Refactors keep these outputs byte-identical; change a
 # digest only together with a deliberate change of the output.
 PINNED_OUTPUT_SHA256 = {
-    ("verify", "--n-max", "46"): "8dd045c4368ae93c3cc45aa8957f3e6d558a0fe85e11590f16104b187c32f0ce",
-    ("ordering", "27", "--same-sign", "--format", "csv"): "4982bc290cd64dd4289a925f8f74e315c23a4617a9d083c1405e1840c2dc3a80",
-    ("ordering", "27", "--same-sign", "--format", "svg"): "727f666fe9843fed0cc610e7ad306cb9c0c665afbfb6f7269d9691763a46da9c",
-    ("ordering", "27", "--mixed", "--format", "csv"): "32d0043920bbf64e2949b7d53ecacd11da3a794d217e6cec5d5d3d88f4166f63",
-    ("ordering", "27", "--mixed", "--format", "svg"): "d0b5fc31b24a8d22ae23aea34f2137bc21914ecf64a3a3d63ca96de8003a3b47",
-    ("ordering", "150", "--same-sign", "--format", "csv"): "dd4b2a060756e29beb45305a728bcecf9c17f5389e44a352ce9cd2a56ae89bcd",
-    ("ordering", "150", "--same-sign", "--format", "svg"): "19690f2d87e10182b04811383fa957f6798d6eb1e07a9009a95cf32cd341f186",
-    ("ordering", "150", "--mixed", "--format", "csv"): "08db5e49e218cd394be557420e191907533c6d52b6bafe3462a953badfecfd84",
-    ("ordering", "150", "--mixed", "--format", "svg"): "6466d69afc278fc3921090d913c838700e24a46eedd3deb96c033e78647303ce",
-    ("extremal", "4"): "223b4c4810000165398d856a0f3e1958e70a7b876afb27689c6b173f47f7ac95",
-    ("extremal", "27"): "5f5b16e8683322eb04edb3bfb8eec65250341fcf03624333e26629f2c69a39b4",
-    ("extremal", "150"): "ffd06bd63e9e7bcd8db895719123538ec940b1ab0709174c90b779ffdcdcca38",
-    ("extremal", "401"): "cd22e1fe5608c9c26703002f72adcc39f49923ae2c8b9d99affd2671828bbcc2",
-    ("floating-pair", "46"): "174b40c0fe2895cdc2f995e996cf54e671ffd7e55e4897d5bddcf25aa81e13d8",
+    ("verify", "--n-max", "46"): (0, "8dd045c4368ae93c3cc45aa8957f3e6d558a0fe85e11590f16104b187c32f0ce"),
+    ("ordering", "27", "--same-sign", "--format", "csv"): (0, "4982bc290cd64dd4289a925f8f74e315c23a4617a9d083c1405e1840c2dc3a80"),
+    ("ordering", "27", "--same-sign", "--format", "svg"): (0, "727f666fe9843fed0cc610e7ad306cb9c0c665afbfb6f7269d9691763a46da9c"),
+    ("ordering", "27", "--mixed", "--format", "csv"): (0, "32d0043920bbf64e2949b7d53ecacd11da3a794d217e6cec5d5d3d88f4166f63"),
+    ("ordering", "27", "--mixed", "--format", "svg"): (0, "d0b5fc31b24a8d22ae23aea34f2137bc21914ecf64a3a3d63ca96de8003a3b47"),
+    ("ordering", "150", "--same-sign", "--format", "csv"): (0, "dd4b2a060756e29beb45305a728bcecf9c17f5389e44a352ce9cd2a56ae89bcd"),
+    ("ordering", "150", "--same-sign", "--format", "svg"): (0, "19690f2d87e10182b04811383fa957f6798d6eb1e07a9009a95cf32cd341f186"),
+    ("ordering", "150", "--mixed", "--format", "csv"): (0, "08db5e49e218cd394be557420e191907533c6d52b6bafe3462a953badfecfd84"),
+    ("ordering", "150", "--mixed", "--format", "svg"): (0, "6466d69afc278fc3921090d913c838700e24a46eedd3deb96c033e78647303ce"),
+    ("extremal", "4"): (0, "223b4c4810000165398d856a0f3e1958e70a7b876afb27689c6b173f47f7ac95"),
+    ("extremal", "27"): (0, "5f5b16e8683322eb04edb3bfb8eec65250341fcf03624333e26629f2c69a39b4"),
+    ("extremal", "150"): (0, "ffd06bd63e9e7bcd8db895719123538ec940b1ab0709174c90b779ffdcdcca38"),
+    ("extremal", "401"): (0, "cd22e1fe5608c9c26703002f72adcc39f49923ae2c8b9d99affd2671828bbcc2"),
+    ("floating-pair", "46"): (0, "174b40c0fe2895cdc2f995e996cf54e671ffd7e55e4897d5bddcf25aa81e13d8"),
     # 22 same-sign has tie groups, so the svg draws tie bars
-    ("ordering", "22", "--same-sign", "--format", "svg"): "ed04e5255985466a3e5bda4057af5460f7d9e03fb312cd6fc543273ab5f36f32",
-    ("ordering", "22", "--same-sign", "--format", "text"): "e194594bf49df79353712e51bf3b2eef5d0968ea7d986de541b74c8e21c57702",
-    ("ordering", "27", "--mixed", "--include-floating", "--format", "csv"): "569365c1af2a8e85ae8be20aa21b5ceef22eaffe71d7f8c799b36da1413f1460",
+    ("ordering", "22", "--same-sign", "--format", "svg"): (0, "ed04e5255985466a3e5bda4057af5460f7d9e03fb312cd6fc543273ab5f36f32"),
+    ("ordering", "22", "--same-sign", "--format", "text"): (0, "e194594bf49df79353712e51bf3b2eef5d0968ea7d986de541b74c8e21c57702"),
+    ("ordering", "27", "--mixed", "--include-floating", "--format", "csv"): (0, "569365c1af2a8e85ae8be20aa21b5ceef22eaffe71d7f8c799b36da1413f1460"),
+    # exit 1: the n = 48 bracket mismatch is the only FAIL
+    ("verify", "--n-max", "100"): (1, "eea60b8140efd68bca6fde628984d633f9a68bb6f3a10d3cfc75b13a843502e2"),
+    # 34 FAIL lines, with both first-mismatch texts of the chain checks
+    ("verify", "--n-max", "30", "--tolerance", "3.0"): (1, "aef9458bcb4d919756de040f4915c134c422829a01b415e120ff84c3b354744e"),
+    ("ordering", "400", "--mixed", "--include-floating", "--format", "text"): (0, "92cbec7aacf545c0265c32630944e29e3cf9f953a635176cefe430c490302543"),
+    ("ordering", "400", "--same-sign", "--format", "svg"): (0, "d80eecd6b2dc135d7df84f97dcda40edc4bad7d05576377d19c1222e098f9736"),
+    ("floating-pair", "200"): (0, "c6c955313cf4824a5dbfda48b568122925a389519977399314ca3a80f3749e9a"),
 }
 
 
 def test_outputs_are_byte_identical_to_pinned_digests(capsys):
-    for argv, expected in PINNED_OUTPUT_SHA256.items():
+    for argv, (expected_code, expected_digest) in PINNED_OUTPUT_SHA256.items():
         code, out, _ = run_cli(capsys, *argv)
-        assert code == 0, argv
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, argv
+        assert code == expected_code, argv
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected_digest, argv
 
 
 # --- spectrum ----------------------------------------------------------------
