@@ -179,6 +179,9 @@ def strong_components(g: SignedDigraph) -> list[SignedDigraph]:
     return [_induced(g, comp) for comp in components]
 
 
+_SIGN_CHAR = {1: "+", -1: "-"}
+
+
 @dataclass(frozen=True, order=True)
 class SignedCycle:
     """An abstract directed cycle of a given length and sign.
@@ -198,7 +201,7 @@ class SignedCycle:
         return make_cycle(self.length, self.sign)
 
     def __str__(self) -> str:
-        return f"C{self.length}{'+' if self.sign > 0 else '-'}"
+        return f"C{self.length}{_SIGN_CHAR[self.sign]}"
 
 
 @dataclass(frozen=True)
@@ -236,7 +239,12 @@ class CyclePair:
         return join_with_arc(self.c1.as_digraph(), self.c2.as_digraph(), 0, 0, 1)
 
     def __str__(self) -> str:
-        return f"({self.c1},{self.c2})"
+        return pair_label(self.c1.length, self.c1.sign, self.c2.length, self.c2.sign)
+
+
+def pair_label(l1: int, s1: int, l2: int, s2: int) -> str:
+    """Printed form of the canonical pair (C_l1^s1, C_l2^s2), e.g. `(C2-,C24-)`."""
+    return f"(C{l1}{_SIGN_CHAR[s1]},C{l2}{_SIGN_CHAR[s2]})"
 
 
 class EdgeListParseError(ValueError):

@@ -5,14 +5,28 @@ cycles whose lengths sum to at most n.  The same-sign class keeps (+,+) and
 (-,-) pairs, the mixed class one cycle of each sign.  Besides the plain
 numeric sort, this module builds the closed-form block patterns those
 orderings are predicted to follow and checks prediction against sort.
+
+Inside this module a family is a pair table: an int array with one row
+(c1 length, c1 sign, c2 length, c2 sign) per canonical pair, and a float
+array of pair values.  Sorting, tie grouping, restriction to a smaller
+budget, the chain checks and the extremes are array operations on that
+table.  `CyclePair` and `OrderingEntry` objects are built only for callers
+that read them: `enumerate_pairs`, `OrderingSequence.entries`, the
+predicted chains and the reports of `extremal_pairs` and
+`locate_floating_pair`.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator
 
-from .cycle_formulas import iota_energy_cycle, pair_iota
-from .graphs import CyclePair, SignedCycle
+import numpy as np
+
+from .cycle_formulas import iota_energy_cycle
+from .graphs import CyclePair, SignedCycle, pair_label
 
 SAME_SIGN = "same_sign"
 MIXED_SIGN = "mixed_sign"
@@ -20,6 +34,8 @@ MIXED_SIGN = "mixed_sign"
 # Values closer than this are one tie group; genuine gaps between distinct
 # pair values stay above 4e-5 for budgets up to 60 (see the gap audit test).
 TIE_TOL = 1e-9
+
+Row = tuple[int, int, int, int]  # (c1 length, c1 sign, c2 length, c2 sign)
 
 
 @dataclass(frozen=True)
@@ -30,11 +46,55 @@ class OrderingEntry:
     tie_group: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderingSequence:
+    """A family in descending order, as columns; row i has rank i + 1.
+
+    codes[i] is the (c1 length, c1 sign, c2 length, c2 sign) row of the
+    canonical pair at rank i + 1, values[i] its iota energy and
+    tie_groups[i] its tie group, numbered from 1 and nondecreasing.  The
+    arrays are made read-only.  `entries` is the same ordering as
+    OrderingEntry objects, built on first access and cached.  Sequences
+    compare equal when budget, class and all three columns are equal; they
+    are not hashable.
+    """
+
     budget_n: int
     sign_class: str
-    entries: tuple[OrderingEntry, ...]
+    codes: np.ndarray
+    values: np.ndarray
+    tie_groups: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.codes, self.values, self.tie_groups):
+            column.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OrderingSequence):
+            return NotImplemented
+        return (
+            self.budget_n == other.budget_n
+            and self.sign_class == other.sign_class
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.values, other.values)
+            and np.array_equal(self.tie_groups, other.tie_groups)
+        )
+
+    @cached_property
+    def entries(self) -> tuple[OrderingEntry, ...]:
+        rows = zip(self.codes.tolist(), self.values.tolist(), self.tie_groups.tolist())
+        return tuple(
+            OrderingEntry(pair=_pair(*row), value=value, rank=rank, tie_group=group)
+            for rank, (row, value, group) in enumerate(rows, start=1)
+        )
+
+    def _entry(self, i: int) -> OrderingEntry:
+        return OrderingEntry(
+            pair=_pair(*self.codes[i].tolist()),
+            value=float(self.values[i]),
+            rank=i + 1,
+            tie_group=int(self.tie_groups[i]),
+        )
 
 
 @dataclass(frozen=True)
@@ -52,42 +112,101 @@ def _check_sign_class(sign_class: str) -> None:
         raise ValueError(f"sign_class must be {SAME_SIGN!r} or {MIXED_SIGN!r}")
 
 
+def _check_budget(budget_n: int) -> None:
+    if budget_n < 4:
+        raise ValueError(f"budget must be >= 4, got {budget_n}")
+
+
 def _pair(l1: int, s1: int, l2: int, s2: int) -> CyclePair:
     return CyclePair(SignedCycle(l1, s1), SignedCycle(l2, s2))
+
+
+def _table(rows: Iterable[tuple[int, ...]], width: int = 4) -> np.ndarray:
+    return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64).reshape(-1, width)
+
+
+def _label(row: np.ndarray) -> str:
+    return pair_label(*row.tolist())
 
 
 # Sign patterns (c1, c2) of each class, c1.sign ascending.
 _SIGN_PATTERNS = {SAME_SIGN: ((-1, -1), (1, 1)), MIXED_SIGN: ((-1, 1), (1, -1))}
 
 
-def enumerate_pairs(budget_n: int, sign_class: str) -> list[CyclePair]:
-    """Each canonical pair of the class that fits the budget, by (total, c1.length, c1.sign, c2.sign)."""
-    _check_sign_class(sign_class)
-    if budget_n < 4:
-        raise ValueError(f"budget must be >= 4, got {budget_n}")
-    pairs: list[CyclePair] = []
-    for total in range(4, budget_n + 1, 2):
+def _family_rows(sign_class: str, totals: Iterable[int]) -> Iterator[Row]:
+    """Each canonical pair of the class with one of these totals, by (total, c1.length, c1.sign, c2.sign)."""
+    patterns = _SIGN_PATTERNS[sign_class]
+    for total in totals:
         for l1 in range(2, total // 2 + 1, 2):
-            for s1, s2 in _SIGN_PATTERNS[sign_class]:
+            for s1, s2 in patterns:
                 # at equal lengths (+,-) is the canonical (-,+) again
                 if 2 * l1 < total or s1 <= s2:
-                    pairs.append(_pair(l1, s1, total - l1, s2))
-    return pairs
+                    yield l1, s1, total - l1, s2
 
 
-def _is_floating(pair: CyclePair) -> bool:
-    """A mixed pair whose positive cycle is C_2^+ next to a longer negative."""
+def _family(budget_n: int, sign_class: str) -> np.ndarray:
+    _check_sign_class(sign_class)
+    _check_budget(budget_n)
+    return _table(_family_rows(sign_class, range(4, budget_n + 1, 2)))
+
+
+def enumerate_pairs(budget_n: int, sign_class: str) -> list[CyclePair]:
+    """Each canonical pair of the class that fits the budget, by (total, c1.length, c1.sign, c2.sign)."""
+    return [_pair(*row) for row in _family(budget_n, sign_class).tolist()]
+
+
+def _values(codes: np.ndarray) -> np.ndarray:
+    """Iota energy of each row: the c1 cycle's value plus the c2 cycle's.
+
+    Each (length, sign) is evaluated once by iota_energy_cycle, so a row's
+    value is bit-identical to pair_iota of its pair.
+    """
+    longest = int(codes[:, [0, 2]].max()) if len(codes) else 2
+    cycle = np.array(
+        [[iota_energy_cycle(length, sign) for sign in (-1, 1)] for length in range(2, longest + 1, 2)]
+    )
     return (
-        pair.c1.length == 2
-        and pair.c1.sign == 1
-        and pair.c2.sign == -1
-        and pair.c2.length >= 4
+        cycle[codes[:, 0] // 2 - 1, (codes[:, 1] + 1) // 2]
+        + cycle[codes[:, 2] // 2 - 1, (codes[:, 3] + 1) // 2]
     )
 
 
-def _tie_break_key(pair: CyclePair) -> tuple[int, int, int]:
-    # total descending, shorter cycle ascending, (-,-) < mixed < (+,+)
-    return (-pair.total_length, pair.c1.length, pair.n_positive)
+def _tie_break_keys(codes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Keys for np.lexsort, last one first: total descending, shorter cycle
+    ascending, (-,-) < mixed < (+,+)."""
+    n_positive = (codes[:, 1] > 0).astype(np.int64) + (codes[:, 3] > 0)
+    return n_positive, codes[:, 0], -(codes[:, 0] + codes[:, 2])
+
+
+def _by_value(codes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Stable order by (value descending, tie-break key)."""
+    return np.lexsort(_tie_break_keys(codes) + (-values,))
+
+
+def _sorted(
+    budget_n: int, sign_class: str, codes: np.ndarray, values: np.ndarray, tie_tol: float
+) -> OrderingSequence:
+    """Sort a table descending and chain values within tie_tol into tie groups.
+
+    A group continues while the step down from the previous value is
+    <= tie_tol; a NaN or negative tie_tol therefore starts a group at every
+    row.  Inside a group rows are ordered by the tie-break key, which also
+    orders exactly equal values that a negative tie_tol keeps in separate
+    groups, e.g. (C2+,C8+) and (C2-,C4-).
+    """
+    order = _by_value(codes, values)
+    codes, values = codes[order], values[order]
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = ~(values[:-1] - values[1:] <= tie_tol)
+    groups = np.cumsum(starts)
+    # groups is the primary key, so reordering within groups leaves it as it is
+    order = np.lexsort(_tie_break_keys(codes) + (groups,))
+    return OrderingSequence(budget_n, sign_class, codes[order], values[order], groups)
+
+
+def _is_floating(codes: np.ndarray) -> np.ndarray:
+    """Mixed rows whose positive cycle is C_2^+ next to a longer negative."""
+    return (codes[:, 0] == 2) & (codes[:, 1] == 1) & (codes[:, 3] == -1) & (codes[:, 2] >= 4)
 
 
 def ordered_sequence(
@@ -103,44 +222,24 @@ def ordered_sequence(
     pattern.  With exclude_floating, mixed pairs (C_m^-, C_2^+) for m >= 4
     are dropped; (C_2^-, C_2^+) stays.
     """
-    pairs = enumerate_pairs(budget_n, sign_class)
+    codes = _family(budget_n, sign_class)
     if exclude_floating and sign_class == MIXED_SIGN:
-        pairs = [p for p in pairs if not _is_floating(p)]
-    entries = _grouped([(pair_iota(p), p) for p in pairs], tie_tol)
-    return OrderingSequence(budget_n=budget_n, sign_class=sign_class, entries=entries)
+        codes = codes[~_is_floating(codes)]
+    return _sorted(budget_n, sign_class, codes, _values(codes), tie_tol)
 
 
 def restrict(sequence: OrderingSequence, budget_n: int, tie_tol: float = TIE_TOL) -> OrderingSequence:
     """The ordering of the same family at a smaller budget.
 
-    A pair's value does not depend on the budget, so this keeps the entries
-    that fit budget_n in their order and recomputes ranks and tie groups.
+    A pair's value does not depend on the budget, so this masks the rows
+    that fit budget_n, keeps their values and sorts and groups them again;
+    the result equals ordered_sequence at budget_n.
     """
     if not 4 <= budget_n <= sequence.budget_n:
         raise ValueError(f"budget must be in 4..{sequence.budget_n}, got {budget_n}")
-    valued = [(e.value, e.pair) for e in sequence.entries if e.pair.total_length <= budget_n]
-    return OrderingSequence(budget_n, sequence.sign_class, _grouped(valued, tie_tol))
-
-
-def _grouped(valued: list[tuple[float, CyclePair]], tie_tol: float) -> tuple[OrderingEntry, ...]:
-    """Sort (value, pair) items descending and chain values within tie_tol into tie groups."""
-    # The tie-break key orders exactly equal values that a negative tie_tol keeps
-    # in separate groups, e.g. (C2+,C8+) and (C2-,C4-).
-    valued = sorted(valued, key=lambda item: (-item[0], _tie_break_key(item[1])))
-    groups: list[list[tuple[float, CyclePair]]] = []
-    for value, pair in valued:
-        if groups and groups[-1][-1][0] - value <= tie_tol:
-            groups[-1].append((value, pair))
-        else:
-            groups.append([(value, pair)])
-    entries: list[OrderingEntry] = []
-    for group_index, group in enumerate(groups, start=1):
-        group.sort(key=lambda item: _tie_break_key(item[1]))
-        for value, pair in group:
-            entries.append(
-                OrderingEntry(pair=pair, value=value, rank=len(entries) + 1, tie_group=group_index)
-            )
-    return tuple(entries)
+    codes = sequence.codes
+    fits = codes[:, 0] + codes[:, 2] <= budget_n
+    return _sorted(budget_n, sequence.sign_class, codes[fits], sequence.values[fits], tie_tol)
 
 
 def _center(total: int) -> int:
@@ -227,6 +326,36 @@ def small_budget_same_sign_order(budget_n: int) -> list[tuple[CyclePair, bool]]:
     return out
 
 
+def _same_sign_pattern(budget_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and tie flags of the same-sign block pattern, see predicted_same_sign_chain."""
+    if budget_n < 22:
+        raise ValueError(f"block pattern needs budget >= 22, got {budget_n}")
+    top = budget_n - (budget_n % 2)
+    rows: list[tuple[int, int, int, int, bool]] = []
+
+    def neg(m: int, total: int) -> tuple[int, int, int, int, bool]:
+        return m, -1, total - m, -1, False
+
+    def pos(m: int, total: int) -> tuple[int, int, int, int, bool]:
+        return m, 1, total - m, 1, False
+
+    rows.extend(neg(m, top) for m in range(2, _center(top) + 1, 2))
+    rows.extend(pos(m, top) for m in range(_center(top), 5, -2))
+    for total in range(top - 2, 21, -2):
+        rows.append(neg(2, total))
+        rows.append(pos(4, total + 2))
+        rows.extend(neg(m, total) for m in range(4, _center(total) + 1, 2))
+        rows.append(pos(2, total + 2))
+        rows.extend(pos(m, total) for m in range(_center(total), 5, -2))
+    rows.append(neg(2, 20))
+    rows.append(pos(4, 22))
+    rows.extend(neg(m, 20) for m in range(4, 11, 2))
+    rows.append(pos(2, 22))
+    rows.extend(_SAME_SIGN_SMALL_ORDER[1:])
+    table = _table(rows, width=5)
+    return table[:, :4], table[:, 4].astype(bool)
+
+
 def predicted_same_sign_chain(budget_n: int) -> list[tuple[CyclePair, bool]]:
     """Block-pattern prediction of the same-sign ordering for budgets >= 22.
 
@@ -242,34 +371,25 @@ def predicted_same_sign_chain(budget_n: int) -> list[tuple[CyclePair, bool]]:
     leading (C_2^+, C_20^+) entry which the pattern has already produced.
     Flags mark exact ties with the previous entry.
     """
-    if budget_n < 22:
-        raise ValueError(f"block pattern needs budget >= 22, got {budget_n}")
+    codes, tied = _same_sign_pattern(budget_n)
+    return [(_pair(*row), flag) for row, flag in zip(codes.tolist(), tied.tolist())]
+
+
+def _mixed_pattern(budget_n: int) -> np.ndarray:
+    """Rows of the mixed block pattern, see predicted_mixed_chain."""
+    _check_budget(budget_n)
     top = budget_n - (budget_n % 2)
-    chain: list[tuple[CyclePair, bool]] = []
-
-    def neg(m: int, total: int) -> tuple[CyclePair, bool]:
-        return _pair(m, -1, total - m, -1), False
-
-    def pos(m: int, total: int) -> tuple[CyclePair, bool]:
-        return _pair(m, 1, total - m, 1), False
-
-    chain.extend(neg(m, top) for m in range(2, _center(top) + 1, 2))
-    chain.extend(pos(m, top) for m in range(_center(top), 5, -2))
-    for total in range(top - 2, 21, -2):
-        chain.append(neg(2, total))
-        chain.append(pos(4, total + 2))
-        chain.extend(neg(m, total) for m in range(4, _center(total) + 1, 2))
-        chain.append(pos(2, total + 2))
-        chain.extend(pos(m, total) for m in range(_center(total), 5, -2))
-    chain.append(neg(2, 20))
-    chain.append(pos(4, 22))
-    chain.extend(neg(m, 20) for m in range(4, 11, 2))
-    chain.append(pos(2, 22))
-    chain.extend(
-        (_pair(l1, s1, l2, s2), tied)
-        for l1, s1, l2, s2, tied in _SAME_SIGN_SMALL_ORDER[1:]
-    )
-    return chain
+    rows: list[Row] = []
+    for total in range(top, 3, -2):
+        if total == 4:
+            rows.append((2, -1, 2, 1))
+        else:
+            # (C_m^-, C_{T-m}^+) in canonical order: the shorter cycle first
+            rows.extend(
+                (m, -1, total - m, 1) if 2 * m <= total else (total - m, 1, m, -1)
+                for m in range(2, total - 3, 2)
+            )
+    return _table(rows)
 
 
 def predicted_mixed_chain(budget_n: int) -> list[CyclePair]:
@@ -279,34 +399,25 @@ def predicted_mixed_chain(budget_n: int) -> list[CyclePair]:
     negative cycle grows from 2 to T-4, so the positive partner never drops
     below C_4^+ except for the closing (C_2^-, C_2^+).
     """
-    if budget_n < 4:
-        raise ValueError(f"budget must be >= 4, got {budget_n}")
-    top = budget_n - (budget_n % 2)
-    chain: list[CyclePair] = []
-    for total in range(top, 3, -2):
-        if total == 4:
-            chain.append(_pair(2, -1, 2, 1))
-        else:
-            chain.extend(_pair(m, -1, total - m, 1) for m in range(2, total - 3, 2))
-    return chain
+    return [_pair(*row) for row in _mixed_pattern(budget_n).tolist()]
 
 
-def _compare_chain(
-    sequence: OrderingSequence,
-    expected: list[tuple[CyclePair, bool]],
-) -> str:
-    """Empty string when the sequence matches the expected chain, else the first mismatch."""
-    entries = sequence.entries
-    if len(entries) != len(expected):
-        return f"expected {len(expected)} entries, ordering has {len(entries)}"
-    for i, (pair, tied) in enumerate(expected):
-        if entries[i].pair != pair:
-            return f"position {i + 1}: expected {pair}, ordering has {entries[i].pair}"
-        actually_tied = i > 0 and entries[i].tie_group == entries[i - 1].tie_group
-        if actually_tied != tied:
-            kind = "tie" if tied else "strict drop"
-            return f"position {i + 1}: expected {kind} before {pair}"
-    return ""
+def _compare_chain(sequence: OrderingSequence, codes: np.ndarray, tied: np.ndarray) -> str:
+    """Empty string when the sequence matches the expected rows and tie flags, else the first mismatch."""
+    if len(sequence.codes) != len(codes):
+        return f"expected {len(codes)} entries, ordering has {len(sequence.codes)}"
+    groups = sequence.tie_groups
+    actually_tied = np.zeros(len(groups), dtype=bool)
+    actually_tied[1:] = groups[1:] == groups[:-1]
+    other_pair = (sequence.codes != codes).any(axis=1)
+    mismatches = np.flatnonzero(other_pair | (actually_tied != tied))
+    if not len(mismatches):
+        return ""
+    i = int(mismatches[0])
+    if other_pair[i]:
+        return f"position {i + 1}: expected {_label(codes[i])}, ordering has {_label(sequence.codes[i])}"
+    kind = "tie" if tied[i] else "strict drop"
+    return f"position {i + 1}: expected {kind} before {_label(codes[i])}"
 
 
 def check_same_sign_chain(sequence: OrderingSequence) -> str:
@@ -314,7 +425,7 @@ def check_same_sign_chain(sequence: OrderingSequence) -> str:
 
     Returns "" on a pass, else the first mismatch.
     """
-    return _compare_chain(sequence, predicted_same_sign_chain(sequence.budget_n))
+    return _compare_chain(sequence, *_same_sign_pattern(sequence.budget_n))
 
 
 def check_mixed_chain(sequence: OrderingSequence) -> str:
@@ -322,16 +433,18 @@ def check_mixed_chain(sequence: OrderingSequence) -> str:
 
     Returns "" on a pass, else the first mismatch.
     """
-    return _compare_chain(sequence, [(p, False) for p in predicted_mixed_chain(sequence.budget_n)])
+    codes = _mixed_pattern(sequence.budget_n)
+    return _compare_chain(sequence, codes, np.zeros(len(codes), dtype=bool))
 
 
-def _strict_descent_detail(chain: list[CyclePair]) -> str:
-    """Empty string when the chain's values drop strictly, else the first non-drop."""
-    values = [pair_iota(p) for p in chain]
-    for i in range(1, len(values)):
-        if values[i - 1] - values[i] <= TIE_TOL:
-            return f"no strict drop from {chain[i - 1]} to {chain[i]}"
-    return ""
+def _strict_descent_detail(chain: np.ndarray) -> str:
+    """Empty string when the values of the chain's rows drop strictly, else the first non-drop."""
+    values = _values(chain)
+    stalls = np.flatnonzero(values[:-1] - values[1:] <= TIE_TOL)
+    if not len(stalls):
+        return ""
+    i = int(stalls[0]) + 1
+    return f"no strict drop from {_label(chain[i - 1])} to {_label(chain[i])}"
 
 
 def check_exact_total_chain(n: int) -> str:
@@ -344,16 +457,16 @@ def check_exact_total_chain(n: int) -> str:
     """
     if n <= 4 or n % 2 != 0:
         raise ValueError(f"total must be even and > 4, got {n}")
-    chain = [_pair(m, -1, n - m, -1) for m in range(2, _center(n) + 1, 2)]
-    chain.extend(_pair(m, 1, n - m, 1) for m in range(_center(n), 1, -2))
+    chain = _table(
+        [(m, -1, n - m, -1) for m in range(2, _center(n) + 1, 2)]
+        + [(m, 1, n - m, 1) for m in range(_center(n), 1, -2)]
+    )
     detail = _strict_descent_detail(chain)
     if detail:
         return detail
-    numeric = sorted(
-        (p for p in enumerate_pairs(n, SAME_SIGN) if p.total_length == n),
-        key=lambda p: -pair_iota(p),
-    )
-    return "" if numeric == chain else "chain disagrees with numeric sort"
+    family = _table(_family_rows(SAME_SIGN, (n,)))
+    numeric = family[np.argsort(-_values(family), kind="stable")]
+    return "" if np.array_equal(numeric, chain) else "chain disagrees with numeric sort"
 
 
 def splice_gap(n: int) -> float:
@@ -380,11 +493,11 @@ def check_splice_inequalities(n: int) -> str:
         raise ValueError(f"splice inequalities need even n >= 22, got {n}")
     center = _center(n - 2)
     chains = [
-        [_pair(center, -1, n - 2 - center, -1), _pair(2, 1, n - 2, 1), _pair(center, 1, n - 2 - center, 1)],
-        [_pair(6, 1, n - 6, 1), _pair(2, -1, n - 4, -1), _pair(4, 1, n - 4, 1)],
+        [(center, -1, n - 2 - center, -1), (2, 1, n - 2, 1), (center, 1, n - 2 - center, 1)],
+        [(6, 1, n - 6, 1), (2, -1, n - 4, -1), (4, 1, n - 4, 1)],
     ]
     for chain in chains:
-        detail = _strict_descent_detail(chain)
+        detail = _strict_descent_detail(_table(chain))
         if detail:
             return detail
     if splice_gap(n) >= 2.0 * math.sqrt(3.0) - 2.0:
@@ -421,14 +534,15 @@ def locate_floating_pair(budget_n: int) -> FloatingPairReport:
     """Rank and neighbors of (C_{n-2}^-, C_2^+) in the full mixed ordering."""
     if budget_n % 2 != 0 or budget_n < 10:
         raise ValueError(f"floating pair needs an even budget >= 10, got {budget_n}")
-    target = _pair(budget_n - 2, -1, 2, 1)
+    target = (2, 1, budget_n - 2, -1)
     sequence = ordered_sequence(budget_n, MIXED_SIGN, exclude_floating=False)
-    for i, entry in enumerate(sequence.entries):
-        if entry.pair == target:
-            above = sequence.entries[i - 1] if i > 0 else None
-            below = sequence.entries[i + 1] if i + 1 < len(sequence.entries) else None
-            return FloatingPairReport(budget_n=budget_n, entry=entry, above=above, below=below)
-    raise RuntimeError(f"floating pair {target} missing from the mixed family")
+    hits = np.flatnonzero((sequence.codes == target).all(axis=1))
+    if not len(hits):
+        raise RuntimeError(f"floating pair {pair_label(*target)} missing from the mixed family")
+    i = int(hits[0])
+    above = sequence._entry(i - 1) if i > 0 else None
+    below = sequence._entry(i + 1) if i + 1 < len(sequence.codes) else None
+    return FloatingPairReport(budget_n=budget_n, entry=sequence._entry(i), above=above, below=below)
 
 
 def floating_bracket_mismatch(report: FloatingPairReport) -> str | None:
@@ -447,6 +561,42 @@ def floating_bracket_mismatch(report: FloatingPairReport) -> str | None:
     return f"expected between {above} and {below}, got {got_above} and {got_below}"
 
 
+def _extremes(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The union of both sign classes at n_max, sorted once, and its ends at every budget.
+
+    Returns (codes, values, first, last): the union's rows and values in
+    stable (value descending, tie-break) order, and for each budget
+    n <= n_max the positions first[n] and last[n] of its first and last
+    row with total <= n.  Filtering keeps the order, so these are the
+    maximum and minimum of the budget-n union, the first of equal keys for
+    the maximum and the last for the minimum.
+    """
+    _check_budget(n_max)
+    codes = np.concatenate([_family(n_max, SAME_SIGN), _family(n_max, MIXED_SIGN)])
+    values = _values(codes)
+    order = _by_value(codes, values)
+    codes, values = codes[order], values[order]
+    totals = codes[:, 0] + codes[:, 2]
+    positions = np.arange(len(totals))
+    first = np.full(n_max + 1, len(totals))
+    last = np.full(n_max + 1, -1)
+    np.minimum.at(first, totals, positions)
+    np.maximum.at(last, totals, positions)
+    return codes, values, np.minimum.accumulate(first), np.maximum.accumulate(last)
+
+
+def _extremal_detail(top: np.ndarray, low: np.ndarray, budget_n: int) -> str:
+    """Empty string when the extreme rows are the closed-form pairs, else why not."""
+    longest = budget_n - 2 if budget_n % 2 == 0 else budget_n - 3
+    expected_max = (2, -1, longest, -1)
+    expected_min = (2, 1, 2, 1)
+    if tuple(top.tolist()) != expected_max:
+        return f"maximum {_label(top)} is not the expected {pair_label(*expected_max)}"
+    if tuple(low.tolist()) != expected_min:
+        return f"minimum {_label(low)} is not the expected {pair_label(*expected_min)}"
+    return ""
+
+
 def extremal_pairs(budget_n: int) -> tuple[OrderingEntry, OrderingEntry]:
     """Maximal and minimal entries over the union of both sign classes.
 
@@ -454,27 +604,27 @@ def extremal_pairs(budget_n: int) -> tuple[OrderingEntry, OrderingEntry]:
     maximum pairs C_2^- with the longest even negative cycle that fits,
     the minimum is always (C_2^+, C_2^+).
     """
-    if budget_n < 4:
-        raise ValueError(f"budget must be >= 4, got {budget_n}")
-    pairs = enumerate_pairs(budget_n, SAME_SIGN) + enumerate_pairs(budget_n, MIXED_SIGN)
-    valued = [(pair_iota(p), p) for p in pairs]
-
-    def key(item: tuple[float, CyclePair]) -> tuple[float, tuple[int, int, int]]:
-        return (-item[0], _tie_break_key(item[1]))
-
-    # the two ends of a stable sort by key: reversed() makes max() keep the last of equals
-    top_value, top_pair = min(valued, key=key)
-    low_value, low_pair = max(reversed(valued), key=key)
-    longest = budget_n - 2 if budget_n % 2 == 0 else budget_n - 3
-    expected_max = _pair(2, -1, longest, -1)
-    expected_min = _pair(2, 1, 2, 1)
-    if top_pair != expected_max:
-        raise RuntimeError(f"maximum {top_pair} is not the expected {expected_max}")
-    if low_pair != expected_min:
-        raise RuntimeError(f"minimum {low_pair} is not the expected {expected_min}")
-    maximum = OrderingEntry(pair=top_pair, value=top_value, rank=1, tie_group=1)
-    minimum = OrderingEntry(pair=low_pair, value=low_value, rank=len(valued), tie_group=len(valued))
+    codes, values, first, last = _extremes(budget_n)
+    top, low = first[budget_n], last[budget_n]
+    detail = _extremal_detail(codes[top], codes[low], budget_n)
+    if detail:
+        raise RuntimeError(detail)
+    size = len(values)
+    maximum = OrderingEntry(pair=_pair(*codes[top].tolist()), value=float(values[top]), rank=1, tie_group=1)
+    minimum = OrderingEntry(
+        pair=_pair(*codes[low].tolist()), value=float(values[low]), rank=size, tie_group=size
+    )
     return maximum, minimum
+
+
+def extremal_details(n_max: int) -> list[str]:
+    """For each budget 4..n_max, "" where extremal_pairs passes, else what it raises.
+
+    Every budget is judged on its own extremes, all read off one sort of
+    the n_max union.
+    """
+    codes, _, first, last = _extremes(n_max)
+    return [_extremal_detail(codes[first[n]], codes[last[n]], n) for n in range(4, n_max + 1)]
 
 
 __all__ = [
@@ -499,4 +649,5 @@ __all__ = [
     "locate_floating_pair",
     "floating_bracket_mismatch",
     "extremal_pairs",
+    "extremal_details",
 ]

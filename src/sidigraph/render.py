@@ -1,10 +1,16 @@
 """Deterministic CSV, SVG and text renderings of ordering sequences.
 
 All output is assembled from fixed-precision formatted numbers so repeated
-runs produce byte-identical files.
+runs produce byte-identical files.  The renderers read the columns of the
+sequence directly and never build its `entries`.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
+import numpy as np
+
+from .graphs import pair_label
 from .orderings import MIXED_SIGN, SAME_SIGN, OrderingSequence
 
 _CLASS_LABEL = {
@@ -17,14 +23,20 @@ def _sign_char(sign: int) -> str:
     return "+" if sign > 0 else "-"
 
 
+def _rows(sequence: OrderingSequence) -> Iterator[tuple[int, int, list[int], float]]:
+    """(rank, tie group, [l1, s1, l2, s2], value) of each row, as Python numbers."""
+    return zip(
+        range(1, len(sequence.values) + 1),
+        sequence.tie_groups.tolist(),
+        sequence.codes.tolist(),
+        sequence.values.tolist(),
+    )
+
+
 def ordering_to_csv(sequence: OrderingSequence) -> str:
     lines = ["rank,tie_group,c1_len,c1_sign,c2_len,c2_sign,value"]
-    for e in sequence.entries:
-        p = e.pair
-        lines.append(
-            f"{e.rank},{e.tie_group},{p.c1.length},{_sign_char(p.c1.sign)},"
-            f"{p.c2.length},{_sign_char(p.c2.sign)},{e.value:.6f}"
-        )
+    for rank, group, (l1, s1, l2, s2), value in _rows(sequence):
+        lines.append(f"{rank},{group},{l1},{_sign_char(s1)},{l2},{_sign_char(s2)},{value:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -34,8 +46,8 @@ def ordering_to_text(sequence: OrderingSequence) -> str:
         f"{_CLASS_LABEL[sequence.sign_class]}"
     )
     lines = [header, ""]
-    for e in sequence.entries:
-        lines.append(f"{e.rank:4d}  tie {e.tie_group:3d}  {str(e.pair):14s} {e.value:12.6f}")
+    for rank, group, row, value in _rows(sequence):
+        lines.append(f"{rank:4d}  tie {group:3d}  {pair_label(*row):14s} {value:12.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -45,13 +57,12 @@ def ordering_to_svg(sequence: OrderingSequence) -> str:
     Members of a tie group are drawn in a second color and linked by a
     horizontal bar to make the merge visible.
     """
-    entries = sequence.entries
     width, height = 900, 480
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 46, 50
     plot_w = width - margin_left - margin_right
     plot_h = height - margin_top - margin_bottom
-    n_entries = len(entries)
-    value_max = max(e.value for e in entries) if entries else 1.0
+    n_entries = len(sequence.values)
+    value_max = float(sequence.values.max()) if n_entries else 1.0
     if value_max <= 0.0:
         value_max = 1.0
 
@@ -103,30 +114,30 @@ def ordering_to_svg(sequence: OrderingSequence) -> str:
         f'<text x="{width / 2:.2f}" y="{height - 8}" font-family="monospace" '
         f'font-size="12" text-anchor="middle">rank</text>'
     )
-    if entries:
-        points = " ".join(f"{x_at(e.rank):.2f},{y_at(e.value):.2f}" for e in entries)
+    if n_entries:
+        xs = [x_at(rank) for rank in range(1, n_entries + 1)]
+        ys = [y_at(value) for value in sequence.values.tolist()]
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="#1f77b4" stroke-width="1"/>'
         )
-        tie_sizes: dict[int, int] = {}
-        for e in entries:
-            tie_sizes[e.tie_group] = tie_sizes.get(e.tie_group, 0) + 1
-        group_bounds: dict[int, tuple[float, float, float]] = {}
-        for e in entries:
-            x, y = x_at(e.rank), y_at(e.value)
-            lo, hi, _ = group_bounds.get(e.tie_group, (x, x, y))
-            group_bounds[e.tie_group] = (min(lo, x), max(hi, x), y)
-        for group, (lo, hi, y) in sorted(group_bounds.items()):
-            if tie_sizes[group] > 1:
+        groups = sequence.tie_groups
+        tie_sizes = np.bincount(groups).tolist()
+        # a tie group is a run of consecutive ranks; its bar spans the run's
+        # x range at the y of its last member
+        starts = np.flatnonzero(np.diff(groups, prepend=0))
+        ends = np.append(starts[1:], n_entries) - 1
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            if end > start:
                 parts.append(
-                    f'<line x1="{lo:.2f}" y1="{y:.2f}" x2="{hi:.2f}" y2="{y:.2f}" '
+                    f'<line x1="{xs[start]:.2f}" y1="{ys[end]:.2f}" x2="{xs[end]:.2f}" y2="{ys[end]:.2f}" '
                     f'stroke="#d62728" stroke-width="3"/>'
                 )
-        for e in entries:
-            color = "#d62728" if tie_sizes[e.tie_group] > 1 else "#1f77b4"
+        for x, y, (_rank, group, row, value) in zip(xs, ys, _rows(sequence)):
+            color = "#d62728" if tie_sizes[group] > 1 else "#1f77b4"
             parts.append(
-                f'<circle cx="{x_at(e.rank):.2f}" cy="{y_at(e.value):.2f}" r="3" '
-                f'fill="{color}"><title>{e.pair} {e.value:.6f}</title></circle>'
+                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" '
+                f'fill="{color}"><title>{pair_label(*row)} {value:.6f}</title></circle>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

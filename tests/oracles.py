@@ -130,3 +130,82 @@ def abs_cos_sum_energy(n: int, sign: int) -> float:
     if sign == 1:
         return math.fsum(abs(math.cos(2.0 * k * math.pi / n)) for k in range(n))
     return math.fsum(abs(math.cos((2.0 * k + 1.0) * math.pi / n)) for k in range(n))
+
+
+def _cycle_iota(length: int, sign: int) -> float:
+    """Iota energy of an even cycle: 2cot(pi/n) for plus (0 for C2+), 2csc(pi/n) for minus."""
+    if sign == 1:
+        return 0.0 if length == 2 else 2.0 / math.tan(math.pi / length)
+    return 2.0 / math.sin(math.pi / length)
+
+
+def _key_value(key: tuple[int, int, int, int]) -> float:
+    return _cycle_iota(key[0], key[1]) + _cycle_iota(key[2], key[3])
+
+
+def _tie_break(key: tuple[int, int, int, int]) -> tuple[int, int, int]:
+    # total descending, shorter cycle ascending, (-,-) < mixed < (+,+)
+    return (-(key[0] + key[2]), key[0], (key[1] > 0) + (key[3] > 0))
+
+
+def _valued_family(budget_n: int, mixed: bool) -> list[tuple[float, tuple[int, int, int, int]]]:
+    """(value, key) of every pair, in the order (total, c1 length, c1 sign, c2 sign)."""
+    keys = sorted(brute_force_sign_pairs(budget_n, mixed), key=lambda k: (k[0] + k[2], k[0], k[1], k[3]))
+    return [(_key_value(k), k) for k in keys]
+
+
+def reference_ordering(
+    budget_n: int, mixed: bool, exclude_floating: bool, tie_tol: float
+) -> list[tuple[tuple[int, int, int, int], float, int, int]]:
+    """(key, value, rank, tie group) of each pair, by a plain loop.
+
+    Sort by (value descending, tie-break), chain each value into the
+    previous one's group while the step down is <= tie_tol, then order each
+    group by the tie-break key; every sort is stable.
+    """
+    valued = _valued_family(budget_n, mixed)
+    if mixed and exclude_floating:
+        valued = [(v, k) for v, k in valued if not (k[0] == 2 and k[1] == 1 and k[2] >= 4)]
+    valued.sort(key=lambda item: (-item[0], _tie_break(item[1])))
+    groups: list[list[tuple[float, tuple[int, int, int, int]]]] = []
+    for value, key in valued:
+        if groups and groups[-1][-1][0] - value <= tie_tol:
+            groups[-1].append((value, key))
+        else:
+            groups.append([(value, key)])
+    out = []
+    for group_index, group in enumerate(groups, start=1):
+        for value, key in sorted(group, key=lambda item: _tie_break(item[1])):
+            out.append((key, value, len(out) + 1, group_index))
+    return out
+
+
+def reference_extremes(budget_n: int) -> tuple[tuple, tuple, int]:
+    """(max key, value), (min key, value) over both classes and the union size.
+
+    The maximum is the first of equal sort keys in enumeration order, the
+    minimum the last.
+    """
+    valued = _valued_family(budget_n, False) + _valued_family(budget_n, True)
+    ranked = sorted(valued, key=lambda item: (-item[0], _tie_break(item[1])))
+    (top_value, top), (low_value, low) = ranked[0], ranked[-1]
+    return (top, top_value), (low, low_value), len(ranked)
+
+
+def _label(key: tuple[int, int, int, int]) -> str:
+    sign = {1: "+", -1: "-"}
+    return f"(C{key[0]}{sign[key[1]]},C{key[2]}{sign[key[3]]})"
+
+
+def reference_exact_total_verdict(n: int, tie_tol: float = 1e-9) -> str:
+    """The exact-total chain verdict for even n > 4: "" or the failure text."""
+    center = n // 2 if (n // 2) % 2 == 0 else n // 2 - 1
+    chain = [(m, -1, n - m, -1) for m in range(2, center + 1, 2)]
+    chain += [(m, 1, n - m, 1) for m in range(center, 1, -2)]
+    values = [_key_value(k) for k in chain]
+    for i in range(1, len(chain)):
+        if values[i - 1] - values[i] <= tie_tol:
+            return f"no strict drop from {_label(chain[i - 1])} to {_label(chain[i])}"
+    exact = [(v, k) for v, k in _valued_family(n, False) if k[0] + k[2] == n]
+    numeric = [k for _, k in sorted(exact, key=lambda item: -item[0])]
+    return "" if numeric == chain else "chain disagrees with numeric sort"

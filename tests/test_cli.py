@@ -1,6 +1,7 @@
 import hashlib
 import os
 import stat
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,24 @@ def test_verify_reports_bracket_defect_at_48(capsys):
     failing = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(failing) == 1
     assert "floating-pair bracket n=48" in failing[0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the 513-cycle is beyond the characteristic polynomial's size limit
+        (["verify", "--n-max", "513"], "matrix dimension 513 exceeds supported maximum 512"),
+        (["verify", "--n-max", "200", "--grid-points", "1"], "grid needs at least two points"),
+    ],
+)
+def test_verify_refuses_unsupported_arguments_before_any_check(capsys, argv, message):
+    # both used to fail only after every ordering check had run
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 # sha256 of stdout.  Refactors keep these outputs byte-identical; change a

@@ -22,7 +22,12 @@ from sidigraph import (
     splice_gap,
 )
 from sidigraph.orderings import MIXED_SIGN, SAME_SIGN, small_budget_same_sign_order
-from oracles import brute_force_sign_pairs
+from oracles import (
+    brute_force_sign_pairs,
+    reference_exact_total_verdict,
+    reference_extremes,
+    reference_ordering,
+)
 
 
 def P(l1, s1, l2, s2):
@@ -163,6 +168,70 @@ def test_restrict_equals_ordering_at_smaller_budget(sign_class, exclude):
         restrict(full, 62)
     with pytest.raises(ValueError):
         restrict(full, 3)
+
+
+def _key(pair):
+    return (pair.c1.length, pair.c1.sign, pair.c2.length, pair.c2.sign)
+
+
+def _table_rows(seq):
+    """(key, value bits, rank, tie group) of each row, read off the columns."""
+    return [
+        (tuple(code), value.hex(), rank, group)
+        for code, value, rank, group in zip(
+            seq.codes.tolist(),
+            seq.values.tolist(),
+            range(1, len(seq.values) + 1),
+            seq.tie_groups.tolist(),
+        )
+    ]
+
+
+def _reference_rows(budget, sign_class, exclude, tie_tol):
+    reference = reference_ordering(budget, sign_class == MIXED_SIGN, exclude, tie_tol)
+    return [(key, value.hex(), rank, group) for key, value, rank, group in reference]
+
+
+# a negative or NaN tie_tol (refused by the CLI, open to library callers)
+# starts a new group at every row
+@pytest.mark.parametrize("tie_tol", [0.0, 1e-9, 3.0, -1.0, math.nan])
+@pytest.mark.parametrize(
+    "sign_class, exclude",
+    [(SAME_SIGN, False), (MIXED_SIGN, True), (MIXED_SIGN, False)],
+)
+def test_table_ordering_matches_loop_reference(sign_class, exclude, tie_tol):
+    # pairs, bit-equal values, ranks and tie groups, directly and by restriction
+    full = ordered_sequence(80, sign_class, exclude_floating=exclude, tie_tol=tie_tol)
+    for n in range(4, 81):
+        expected = _reference_rows(n, sign_class, exclude, tie_tol)
+        direct = ordered_sequence(n, sign_class, exclude_floating=exclude, tie_tol=tie_tol)
+        assert _table_rows(direct) == expected, n
+        assert _table_rows(restrict(full, n, tie_tol)) == expected, n
+
+
+def test_entries_view_matches_columns():
+    seq = ordered_sequence(30, MIXED_SIGN, tie_tol=0.5)
+    assert seq.entries is seq.entries
+    rows = [(_key(e.pair), e.value.hex(), e.rank, e.tie_group) for e in seq.entries]
+    assert rows == _table_rows(seq)
+    assert all(type(e.value) is float and type(e.rank) is int and type(e.tie_group) is int for e in seq.entries)
+    with pytest.raises(AttributeError):
+        seq.entries = ()
+    with pytest.raises(ValueError):
+        seq.values[0] = 0.0
+
+
+@pytest.mark.parametrize("n", range(4, 81))
+def test_extremal_pairs_match_loop_reference(n):
+    (top, top_value), (low, low_value), size = reference_extremes(n)
+    maximum, minimum = extremal_pairs(n)
+    assert (_key(maximum.pair), maximum.value.hex(), maximum.rank) == (top, top_value.hex(), 1)
+    assert (_key(minimum.pair), minimum.value.hex(), minimum.rank) == (low, low_value.hex(), size)
+
+
+@pytest.mark.parametrize("n", range(6, 81, 2))
+def test_exact_total_chain_matches_loop_reference(n):
+    assert check_exact_total_chain(n) == reference_exact_total_verdict(n)
 
 
 def test_small_budget_order_matches_numeric():

@@ -299,8 +299,8 @@ def test_chained_blocks_match_per_block_lapack(seed):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("seed", range(3))
 def test_dense_component_raises_instead_of_garbage(seed):
-    # coefficients beyond 2^53 send the root iteration far outside the
-    # Gershgorin bound (largest absolute row sum, 17-20 here)
+    # seeds 0 and 2 are refused by the residual contract of poly_roots,
+    # seed 1 by the exactness certificate of char_poly
     g = dense_scc(seed)
     with pytest.raises(RootFindingError, match="root iteration stalled|not exact in double precision"):
         eigenvalues(g)
