@@ -133,15 +133,17 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         return EXIT_IO
     graph = parse_edge_list(text)
     spectrum = eigenvalues(graph)
-    ordered = sorted(spectrum.values, key=lambda z: (cmath.phase(z), abs(z)))
+    # Sort and print the values as shown: rounding noise such as an
+    # imaginary part of 1e-17 must neither print as -0.000000 nor move a
+    # real root through cmath.phase.  Adding 0.0 turns -0.0 into 0.0.
+    shown = [complex(round(z.real, 6) + 0.0, round(z.imag, 6) + 0.0) for z in spectrum.values]
+    ordered = sorted(shown, key=lambda z: (cmath.phase(z), abs(z)))
     print(f"vertices: {graph.n_vertices}")
     print(f"arcs: {graph.n_arcs}")
     print(_format_component_summary(strong_components(graph)))
     print("eigenvalues:")
     for z in ordered:
-        re = z.real if z.real != 0.0 else 0.0
-        im = z.imag if z.imag != 0.0 else 0.0
-        print(f"  {re:+.6f} {im:+.6f}i")
+        print(f"  {z.real:+.6f} {z.imag:+.6f}i")
     print(f"energy: {energy(spectrum):.6f}")
     print(f"iota energy: {iota_energy(spectrum):.6f}")
     return EXIT_OK

@@ -3,7 +3,9 @@
 Nothing here shares code with the package paths under test: the
 characteristic polynomial comes from exact cofactor expansion over integer
 polynomials, component partitions from a reachability matrix, pair families
-from a direct double loop.
+from a direct double loop, polynomial values from rational arithmetic.  The
+one exception is `float_trace_recursion`, the earlier step-by-step form of
+`char_poly`, which its leaner form must reproduce bit for bit.
 """
 from __future__ import annotations
 
@@ -59,6 +61,53 @@ def cofactor_char_poly(matrix) -> list[float]:
     coeffs = _det_poly(m)
     coeffs = coeffs + [Fraction(0)] * (size + 1 - len(coeffs))
     return [float(c) for c in coeffs]
+
+
+def float_trace_recursion(matrix) -> tuple[float, ...]:
+    """Ascending det(xI - A) by the float Faddeev-LeVerrier recursion, step by step.
+
+    The earlier form of spectra.char_poly, kept as its reference: M_k is
+    formed as A M_{k-1} + c_k I with a fresh identity, and max|M_{k-1}| from
+    a temporary of absolute values.  Raises OverflowError with char_poly's
+    refusal text when a partial sum may pass 2^53.
+    """
+    import numpy as np
+
+    a = np.asarray(matrix, dtype=np.float64)
+    n = a.shape[0]
+    row_sum = float(np.abs(a).sum(axis=1).max(initial=0.0))
+    descending = [1.0]
+    m = np.eye(n)
+    for k in range(1, n + 1):
+        product_bound = row_sum * float(np.abs(m).max())
+        am = a @ m
+        trace_bound = float(np.abs(am.diagonal()).sum())
+        reached = max(product_bound, trace_bound)
+        if reached > 2.0**53:
+            raise OverflowError(
+                "characteristic polynomial is not exact in double precision: "
+                f"step {k} of {n} reaches {reached:.3g} > 2^53"
+            )
+        ck = -am.trace() / k
+        descending.append(ck)
+        m = am + ck * np.eye(n)
+    return tuple(float(c) for c in reversed(descending))
+
+
+def exact_poly_value(coeffs, z: complex) -> tuple[Fraction, Fraction]:
+    """Real and imaginary part of sum_k coeffs[k] z^k in exact rationals.
+
+    z = (u + iv) / 2^e with integers u, v, so Horner runs on Gaussian
+    integers: h = sum_k coeffs[k] (u + iv)^k 2^(e (degree - k)).
+    """
+    x, y = Fraction(z.real), Fraction(z.imag)
+    e = max(x.denominator, y.denominator).bit_length() - 1
+    u, v = int(x * 2**e), int(y * 2**e)
+    hr, hi = int(coeffs[-1]), 0
+    for j, c in enumerate(reversed(coeffs[:-1]), start=1):
+        hr, hi = hr * u - hi * v + (int(c) << (e * j)), hr * v + hi * u
+    scale = 2 ** (e * (len(coeffs) - 1))
+    return Fraction(hr, scale), Fraction(hi, scale)
 
 
 def reachability_components(n_vertices: int, arcs) -> list[frozenset[int]]:

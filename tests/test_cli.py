@@ -341,6 +341,27 @@ def test_spectrum_joined_graph(tmp_path, capsys):
     assert "iota energy: 2.828427" in out
 
 
+def test_spectrum_prints_and_sorts_values_as_shown(tmp_path, capsys, monkeypatch):
+    # imaginary parts of rounding size printed as -0.000000 and, through
+    # cmath.phase, put 1-1e-17j before the smaller real root 0.5
+    from sidigraph import ComplexSpectrum, cli
+
+    values = ComplexSpectrum((1 + 1e-17j, 1 - 1e-17j, 0.5 - 1e-18j))
+    monkeypatch.setattr(cli, "eigenvalues", lambda g: values)
+    path = tmp_path / "p3.txt"
+    path.write_text(format_edge_list(make_path(3)), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "spectrum", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("eigenvalues:") + 1
+    assert lines[start:start + 4] == [
+        "  +0.500000 +0.000000i",
+        "  +1.000000 +0.000000i",
+        "  +1.000000 +0.000000i",
+        "energy: 2.500000",
+    ]
+
+
 def test_spectrum_round_trip_identical_output(tmp_path, capsys):
     g = join_with_arc(make_cycle(6, -1), make_path(3), 0, 0, -1)
     path = tmp_path / "g.txt"
@@ -371,13 +392,13 @@ def test_spectrum_chained_blocks_match_per_block_lapack(tmp_path, capsys, seed):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_spectrum_dense_component_fails_loudly(tmp_path, capsys):
     # the float characteristic polynomial of this 40-vertex component is
-    # inexact; the route used to print an iota energy near 1e15 with exit 0
+    # inexact; the route used to print a wrong iota energy with exit 0
     path = tmp_path / "dense.txt"
-    path.write_text(format_edge_list(dense_scc(0)), encoding="utf-8")
+    path.write_text(format_edge_list(dense_scc(1)), encoding="utf-8")
     code, out, err = run_cli(capsys, "spectrum", str(path))
     assert code == 1
     assert err.startswith("error:")
-    assert "root iteration stalled" in err
+    assert "not exact in double precision" in err
     assert "energy" not in out
 
 

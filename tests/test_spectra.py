@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from sidigraph import (
     poly_roots,
 )
 from sidigraph import spectra
-from oracles import cofactor_char_poly, match_multisets
+from oracles import cofactor_char_poly, exact_poly_value, float_trace_recursion, match_multisets
 from seeded_graphs import chained_blocks, dense_scc
 
 
@@ -81,6 +83,41 @@ def test_char_poly_refuses_inexact_trace_recursion(seed):
         eigenvalues(g)
 
 
+def test_char_poly_certificate_counts_negative_entries():
+    # M_1 = A holds -2^52, so r * max|M_1| = 2^104 at step 2, while the
+    # trace bound |tr(A^2)| = 2^53 and the positive entries stay within 2^53
+    a = np.array([[0.0, -(2.0**52)], [1.0, 0.0]])
+    with pytest.raises(RootFindingError, match=r"step 2 of 2 reaches 2\.03e\+31 > 2\^53"):
+        char_poly(a)
+
+
+def _seeded_components():
+    # (seed, vertices, arcs) of strong components like those of the spectrum
+    # benchmark: 16-128 vertices, about 1.3, 2 or 4 arcs per vertex, plus the
+    # default dense 40-vertex SCCs; the large density-4 ones are refused
+    rng = random.Random(2024)
+    for seed in range(8):
+        for density in (1.3, 2.0, 4.0):
+            n = rng.randint(16, 128)
+            yield seed, n, round(density * n)
+    for seed in range(10):
+        yield seed, 40, 510
+
+
+@pytest.mark.parametrize("seed, n, n_arcs", list(_seeded_components()))
+def test_char_poly_bit_identical_to_step_by_step_recursion(seed, n, n_arcs):
+    a = adjacency_matrix(dense_scc(seed, n, n_arcs))
+    try:
+        expected = float_trace_recursion(a)
+    except OverflowError as exc:
+        with pytest.raises(RootFindingError) as refused:
+            char_poly(a)
+        assert str(refused.value) == str(exc)
+        return
+    got = char_poly(a).coeffs
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
 def test_char_poly_rejects_non_square():
     with pytest.raises(ValueError):
         char_poly(np.zeros((2, 3)))
@@ -114,6 +151,16 @@ def test_poly_roots_residual_contract():
         assert abs(p(z)) <= 1e-10 * (1.0 + abs(z)) ** p.degree
 
 
+def test_residual_contract_refuses_perturbed_roots_of_unity(monkeypatch):
+    # the roots of x^50 - 1 scaled by 1 + 1e-6 leave residuals of 5e-5; the
+    # earlier bound 1e-10 * (1 + |z|)^50 = 1.1e5 accepted them
+    roots = np.exp(2j * np.pi * np.arange(50) / 50) * (1.0 + 1e-6)
+    monkeypatch.setattr(spectra, "_aberth", lambda coeffs, max_iterations: (roots, 5, True))
+    with pytest.raises(RootFindingError, match="root iteration stalled") as exc:
+        poly_roots(Polynomial((-1.0,) + (0.0,) * 49 + (1.0,)))
+    assert max(exc.value.residuals) == pytest.approx(5e-5, rel=1e-3)
+
+
 def test_poly_roots_requires_monic_and_degree():
     with pytest.raises(ValueError):
         poly_roots(Polynomial((1.0, 2.0)))
@@ -140,13 +187,39 @@ def test_newton_polygon_start_converges_in_few_iterations(degree, sign):
 
 
 def test_poly_roots_refuses_iteration_cap_above_noise_floor():
-    # at degree 200 the residual bound 1e-10 * (1 + |z|)^200 is about 1e50,
-    # so only the convergence rule can refuse roots two steps from the start
+    # roots two steps from the start are refused by the convergence rule
     with pytest.raises(RootFindingError, match="above the noise floor") as exc:
         poly_roots(Polynomial((1.0,) + (0.0,) * 199 + (1.0,)), max_iterations=2)
     assert exc.value.iterations == 2
     assert len(exc.value.roots) == len(exc.value.residuals) == 200
     assert max(exc.value.residuals) > 1e-6
+
+
+@st.composite
+def polynomials_and_points(draw):
+    # integer coefficients sized so that sum |c_k| |z|^k stays finite up to
+    # the Cauchy bound; lengths 1, 2, a square and a prime come up explicitly
+    length = draw(st.one_of(st.sampled_from([1, 2, 3, 100, 289, 293, 301]), st.integers(1, 301)))
+    degree = length - 1
+    limit = min(2**40, int(10 ** (250 / max(degree, 1))) - 1)
+    coeffs = draw(st.lists(st.integers(-limit, limit), min_size=length, max_size=length))
+    coeffs[-1] = draw(st.integers(1, limit)) * draw(st.sampled_from((1, -1)))
+    cauchy = 1.0 + max((abs(c) for c in coeffs[:-1]), default=0) / abs(coeffs[-1])
+    radius = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, cauchy)))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    return coeffs, cmath.rect(radius, angle)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(polynomials_and_points())
+def test_blocked_evaluation_within_noise_floor(case):
+    coeffs, z = case
+    degree = len(coeffs) - 1
+    value = spectra._evaluate(np.array(coeffs, dtype=np.complex128), np.array([z]))[0]
+    re, im = exact_poly_value(coeffs, z)
+    error_squared = (Fraction(value.real) - re) ** 2 + (Fraction(value.imag) - im) ** 2
+    floor = 4.0 * degree * np.finfo(np.float64).eps * math.fsum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+    assert error_squared <= Fraction(floor) ** 2
 
 
 @pytest.mark.parametrize("n", list(range(2, 33)) + [40, 48, 50, 64])
@@ -297,15 +370,23 @@ def test_chained_blocks_match_per_block_lapack(seed):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("seed", [1, 4])
 def test_dense_component_raises_instead_of_garbage(seed):
-    # seeds 0 and 2 are refused by the residual contract of poly_roots,
-    # seed 1 by the exactness certificate of char_poly
+    # the trace recursion of these two passes 2^53, so char_poly refuses
     g = dense_scc(seed)
-    with pytest.raises(RootFindingError, match="root iteration stalled|not exact in double precision"):
+    with pytest.raises(RootFindingError, match="not exact in double precision"):
         eigenvalues(g)
-    with pytest.raises(RootFindingError):
+    with pytest.raises(RootFindingError, match="not exact in double precision"):
         iota_energy_of_graph(g)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_dense_component_matches_lapack(seed):
+    # refused while the residual bound was 1e-10 * (1 + |z|)^degree: these
+    # converged roots of a polynomial with 43- and 45-bit coefficients broke it
+    g = dense_scc(seed)
+    expected = np.linalg.eigvals(adjacency_matrix(g).astype(np.float64))
+    match_multisets(eigenvalues(g).values, expected, 1e-6)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
