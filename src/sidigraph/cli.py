@@ -132,7 +132,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_IO
     graph = parse_edge_list(text)
-    spectrum = eigenvalues(graph)
+    components = strong_components(graph)
+    spectrum = eigenvalues(graph, components)
     # Sort and print the values as shown: rounding noise such as an
     # imaginary part of 1e-17 must neither print as -0.000000 nor move a
     # real root through cmath.phase.  Adding 0.0 turns -0.0 into 0.0.
@@ -140,7 +141,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     ordered = sorted(shown, key=lambda z: (cmath.phase(z), abs(z)))
     print(f"vertices: {graph.n_vertices}")
     print(f"arcs: {graph.n_arcs}")
-    print(_format_component_summary(strong_components(graph)))
+    print(_format_component_summary(components))
     print("eigenvalues:")
     for z in ordered:
         print(f"  {z.real:+.6f} {z.imag:+.6f}i")

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -133,21 +133,28 @@ def _label(row: np.ndarray) -> str:
 _SIGN_PATTERNS = {SAME_SIGN: ((-1, -1), (1, 1)), MIXED_SIGN: ((-1, 1), (1, -1))}
 
 
-def _family_rows(sign_class: str, totals: Iterable[int]) -> Iterator[Row]:
-    """Each canonical pair of the class with one of these totals, by (total, c1.length, c1.sign, c2.sign)."""
-    patterns = _SIGN_PATTERNS[sign_class]
-    for total in totals:
-        for l1 in range(2, total // 2 + 1, 2):
-            for s1, s2 in patterns:
-                # at equal lengths (+,-) is the canonical (-,+) again
-                if 2 * l1 < total or s1 <= s2:
-                    yield l1, s1, total - l1, s2
+def _family_table(sign_class: str, totals: np.ndarray) -> np.ndarray:
+    """Each canonical pair of the class with one of these totals, by (total, c1.length, c1.sign, c2.sign).
+
+    totals are even and ascending.  A total T holds the first lengths
+    2, 4, ..., up to T/2, each once per sign pattern of the class.
+    """
+    counts = totals // 4
+    total = np.repeat(totals, counts)
+    first_row = np.repeat(np.cumsum(counts) - counts, counts)
+    l1 = 2 * (np.arange(len(total)) - first_row) + 2
+    patterns = np.array(_SIGN_PATTERNS[sign_class])
+    total, l1 = np.repeat(total, 2), np.repeat(l1, 2)
+    s1, s2 = np.tile(patterns, (len(total) // 2, 1)).T
+    # at equal lengths (+,-) is the canonical (-,+) again
+    keep = (2 * l1 < total) | (s1 <= s2)
+    return np.column_stack([l1, s1, total - l1, s2])[keep]
 
 
 def _family(budget_n: int, sign_class: str) -> np.ndarray:
     _check_sign_class(sign_class)
     _check_budget(budget_n)
-    return _table(_family_rows(sign_class, range(4, budget_n + 1, 2)))
+    return _family_table(sign_class, np.arange(4, budget_n + 1, 2))
 
 
 def enumerate_pairs(budget_n: int, sign_class: str) -> list[CyclePair]:
@@ -464,7 +471,7 @@ def check_exact_total_chain(n: int) -> str:
     detail = _strict_descent_detail(chain)
     if detail:
         return detail
-    family = _table(_family_rows(SAME_SIGN, (n,)))
+    family = _family_table(SAME_SIGN, np.array([n]))
     numeric = family[np.argsort(-_values(family), kind="stable")]
     return "" if np.array_equal(numeric, chain) else "chain disagrees with numeric sort"
 

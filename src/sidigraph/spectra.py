@@ -234,7 +234,8 @@ def poly_roots(p: Polynomial, max_iterations: int = 1000) -> ComplexSpectrum:
     with the roots, residuals and iteration count is raised when the
     iteration reaches max_iterations with a residual still above its
     evaluation noise floor, or when a returned root would break
-    |p(z)| <= 1e-10 * max(1, sum_k |c_k| |z|^k).  The bound scales with the
+    |p(z)| <= 1e-10 * max(1, sum_k |c_k| |z|^k), which a non-finite root or
+    residual always breaks.  The bound scales with the
     size of the terms that cancel at z, so it neither accepts anything near
     |z| = 1 at high degree nor refuses converged roots of polynomials with
     large coefficients.
@@ -263,9 +264,16 @@ def poly_roots(p: Polynomial, max_iterations: int = 1000) -> ComplexSpectrum:
     roots = np.concatenate([np.zeros(n_zero, dtype=np.complex128), nonzero])
     residuals = np.abs(_evaluate(coeffs.astype(np.complex128), roots))
     bounds = RESIDUAL_TOL * np.maximum(1.0, _evaluate(np.abs(coeffs), np.abs(roots)))
-    if not converged or np.any(residuals > bounds):
+    # written so that a NaN residual or bound fails the contract
+    if not converged or not np.all(residuals <= bounds):
+        # argmax puts a NaN ratio first, so the root of a NaN residual is named
         worst = int(np.argmax(residuals / bounds))
-        cause = "" if converged else " with residuals above the noise floor"
+        if not math.isfinite(residuals[worst]):
+            cause = " with a non-finite residual"
+        elif not converged:
+            cause = " with residuals above the noise floor"
+        else:
+            cause = ""
         raise RootFindingError(
             f"root iteration stalled after {iterations} iterations{cause}: "
             f"|p({roots[worst]:.6g})| = {residuals[worst]:.3g}, bound "
@@ -304,14 +312,18 @@ def _numeric_eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:
     return roots
 
 
-def eigenvalues(g: SignedDigraph) -> ComplexSpectrum:
+def eigenvalues(g: SignedDigraph, components: list[SignedDigraph] | None = None) -> ComplexSpectrum:
     """Eigenvalues of the adjacency matrix of g, strong component by component.
 
-    A strongly connected digraph with as many arcs as vertices (at least 2)
+    components, when given, must be strong_components(g); a caller that
+    has them already passes them so that they are not computed twice.  A
+    strongly connected digraph with as many arcs as vertices (at least 2)
     is exactly one directed cycle, so it is answered analytically.
     """
+    if components is None:
+        components = strong_components(g)
     values: list[complex] = []
-    for component in strong_components(g):
+    for component in components:
         n = component.n_vertices
         if n == 1:
             values.append(0j)

@@ -341,13 +341,34 @@ def test_spectrum_joined_graph(tmp_path, capsys):
     assert "iota energy: 2.828427" in out
 
 
+def test_spectrum_finds_strong_components_once(tmp_path, capsys, monkeypatch):
+    # the summary line and the spectrum share one search for the components
+    from sidigraph import cli, graphs, spectra
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return graphs.strong_components(g)
+
+    monkeypatch.setattr(cli, "strong_components", counted)
+    monkeypatch.setattr(spectra, "strong_components", counted)
+    g = join_with_arc(make_cycle(2, 1), make_cycle(4, -1), 0, 0, 1)
+    path = tmp_path / "joined.txt"
+    path.write_text(format_edge_list(g), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "spectrum", str(path))
+    assert code == 0
+    assert "strong components: 2 (nontrivial 2)" in out
+    assert len(calls) == 1
+
+
 def test_spectrum_prints_and_sorts_values_as_shown(tmp_path, capsys, monkeypatch):
     # imaginary parts of rounding size printed as -0.000000 and, through
     # cmath.phase, put 1-1e-17j before the smaller real root 0.5
     from sidigraph import ComplexSpectrum, cli
 
     values = ComplexSpectrum((1 + 1e-17j, 1 - 1e-17j, 0.5 - 1e-18j))
-    monkeypatch.setattr(cli, "eigenvalues", lambda g: values)
+    monkeypatch.setattr(cli, "eigenvalues", lambda g, components=None: values)
     path = tmp_path / "p3.txt"
     path.write_text(format_edge_list(make_path(3)), encoding="utf-8")
     code, out, _ = run_cli(capsys, "spectrum", str(path))

@@ -161,6 +161,17 @@ def test_residual_contract_refuses_perturbed_roots_of_unity(monkeypatch):
     assert max(exc.value.residuals) == pytest.approx(5e-5, rel=1e-3)
 
 
+def test_poly_roots_refuses_non_finite_root(monkeypatch):
+    # (x - 1)(x + 1)(x - 2) with its root 2 returned as NaN: the two finite
+    # roots are exact, and the NaN residual is not above its NaN bound
+    roots = np.array([1.0, -1.0, np.nan], dtype=np.complex128)
+    monkeypatch.setattr(spectra, "_aberth", lambda coeffs, max_iterations: (roots, 3, True))
+    with pytest.raises(RootFindingError, match=r"non-finite residual: \|p\(nan") as exc:
+        poly_roots(Polynomial((2.0, -1.0, -2.0, 1.0)))
+    assert exc.value.iterations == 3
+    assert len(exc.value.residuals) == 3
+
+
 def test_poly_roots_requires_monic_and_degree():
     with pytest.raises(ValueError):
         poly_roots(Polynomial((1.0, 2.0)))
