@@ -25,37 +25,36 @@ import math
 from .graphs import CyclePair, check_sign
 
 
-def _two_cot(n: int) -> float:
+_FORMS = {
     # cot(pi/2) is exactly 0; special-cased so C2+ values come out exact
-    if n == 2:
-        return 0.0
-    return 2.0 / math.tan(math.pi / n)
+    "2*cot": lambda m: 0.0 if m == 2 else 2.0 / math.tan(math.pi / m),
+    "2*csc": lambda m: 2.0 / math.sin(math.pi / m),
+    "cot": lambda m: 1.0 / math.tan(math.pi / m),
+    "csc": lambda m: 1.0 / math.sin(math.pi / m),
+}
 
 
-def _two_csc(n: int) -> float:
-    return 2.0 / math.sin(math.pi / n)
+def _case(n: int, sign: int, iota: bool) -> tuple[str, int]:
+    """The closed form (a key of _FORMS) of C_n's iota energy or energy, and the m of its pi/m."""
+    check_sign(sign)
+    if n < 2:
+        raise ValueError(f"cycle length must be >= 2, got {n}")
+    if n % 2 == 1:
+        return ("cot" if iota else "csc"), 2 * n
+    cot = sign == 1 if iota else (n % 4 == 0) == (sign == 1)
+    return ("2*cot" if cot else "2*csc"), n
 
 
 def energy_cycle(n: int, sign: int) -> float:
     """Energy (sum of |Re| of eigenvalues) of the cycle C_n with this sign."""
-    check_sign(sign)
-    if n < 2:
-        raise ValueError(f"cycle length must be >= 2, got {n}")
-    if n % 2 == 1:
-        return 1.0 / math.sin(math.pi / (2 * n))
-    if (n % 4 == 0) == (sign == 1):
-        return _two_cot(n)
-    return _two_csc(n)
+    form, m = _case(n, sign, iota=False)
+    return _FORMS[form](m)
 
 
 def iota_energy_cycle(n: int, sign: int) -> float:
     """Iota energy (sum of |Im| of eigenvalues) of the cycle C_n."""
-    check_sign(sign)
-    if n < 2:
-        raise ValueError(f"cycle length must be >= 2, got {n}")
-    if n % 2 == 1:
-        return 1.0 / math.tan(math.pi / (2 * n))
-    return _two_cot(n) if sign == 1 else _two_csc(n)
+    form, m = _case(n, sign, iota=True)
+    return _FORMS[form](m)
 
 
 def pair_iota(pair: CyclePair) -> float:
@@ -67,17 +66,9 @@ def pair_iota(pair: CyclePair) -> float:
 
 def energy_case_label(n: int, sign: int) -> str:
     """Human-readable formula branch used by energy_cycle."""
-    check_sign(sign)
-    if n % 2 == 1:
-        return f"csc(pi/{2 * n})"
-    if (n % 4 == 0) == (sign == 1):
-        return f"2*cot(pi/{n})"
-    return f"2*csc(pi/{n})"
+    return "{}(pi/{})".format(*_case(n, sign, iota=False))
 
 
 def iota_case_label(n: int, sign: int) -> str:
     """Human-readable formula branch used by iota_energy_cycle."""
-    check_sign(sign)
-    if n % 2 == 1:
-        return f"cot(pi/{2 * n})"
-    return f"2*cot(pi/{n})" if sign == 1 else f"2*csc(pi/{n})"
+    return "{}(pi/{})".format(*_case(n, sign, iota=True))

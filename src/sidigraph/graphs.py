@@ -230,10 +230,6 @@ class CyclePair:
     def total_length(self) -> int:
         return self.c1.length + self.c2.length
 
-    @property
-    def n_positive(self) -> int:
-        return (self.c1.sign > 0) + (self.c2.sign > 0)
-
     def as_digraph(self) -> SignedDigraph:
         """A connected witness: the two cycles joined by one positive arc."""
         return join_with_arc(self.c1.as_digraph(), self.c2.as_digraph(), 0, 0, 1)

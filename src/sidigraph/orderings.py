@@ -255,11 +255,10 @@ def _center(total: int) -> int:
     return half if half % 2 == 0 else half - 1
 
 
-# Full descending same-sign order for budgets up to 22, written out because
-# the block pattern of larger budgets only sets in from total 22 upwards.
-# Flag marks an exact tie with the previous entry.
+# The tail of the same-sign prediction, from (C_10^+, C_10^+) down, written
+# out because the block pattern only sets in from total 22 upwards.  Flag
+# marks an exact tie with the previous entry.
 _SAME_SIGN_SMALL_ORDER: tuple[tuple[int, int, int, int, bool], ...] = (
-    (2, 1, 20, 1, False),
     (10, 1, 10, 1, False),
     (8, 1, 12, 1, False),
     (2, -1, 16, -1, False),
@@ -308,36 +307,16 @@ _SAME_SIGN_SMALL_ORDER: tuple[tuple[int, int, int, int, bool], ...] = (
 )
 
 
-def small_budget_same_sign_order(budget_n: int) -> list[tuple[CyclePair, bool]]:
-    """Expected same-sign order for budgets 4..21, written out.
-
-    For budgets below 20 this is the tabulated order filtered to pairs that
-    fit; budgets 20 and 21 additionally start with the (-,-) pairs of total
-    20, which sit above everything tabulated.  Tie flags are recomputed
-    against the surviving predecessor.
-    """
-    if budget_n < 4:
-        raise ValueError(f"budget must be >= 4, got {budget_n}")
-    if budget_n > 21:
-        raise ValueError(f"budgets >= 22 follow the block pattern, got {budget_n}")
-    out: list[tuple[CyclePair, bool]] = []
-    if budget_n >= 20:
-        out.extend((_pair(m, -1, 20 - m, -1), False) for m in range(2, 11, 2))
-    dropped_previous = False
-    for l1, s1, l2, s2, tied in _SAME_SIGN_SMALL_ORDER:
-        if l1 + l2 > budget_n:
-            dropped_previous = True
-            continue
-        out.append((_pair(l1, s1, l2, s2), tied and not dropped_previous))
-        dropped_previous = False
-    return out
+def _fit(codes: np.ndarray, tied: np.ndarray, budget_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prediction's rows with total <= budget_n; a tie flag survives only with its previous row."""
+    kept = codes[:, 0] + codes[:, 2] <= budget_n
+    return codes[kept], (tied & np.r_[False, kept[:-1]])[kept]
 
 
 def _same_sign_pattern(budget_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and tie flags of the same-sign block pattern, see predicted_same_sign_chain."""
-    if budget_n < 22:
-        raise ValueError(f"block pattern needs budget >= 22, got {budget_n}")
-    top = budget_n - (budget_n % 2)
+    """Rows and tie flags of the same-sign prediction, see predicted_same_sign_chain."""
+    _check_budget(budget_n)
+    top = max(budget_n - budget_n % 2, 22)
     rows: list[tuple[int, int, int, int, bool]] = []
 
     def neg(m: int, total: int) -> tuple[int, int, int, int, bool]:
@@ -358,32 +337,32 @@ def _same_sign_pattern(budget_n: int) -> tuple[np.ndarray, np.ndarray]:
     rows.append(pos(4, 22))
     rows.extend(neg(m, 20) for m in range(4, 11, 2))
     rows.append(pos(2, 22))
-    rows.extend(_SAME_SIGN_SMALL_ORDER[1:])
+    rows.extend(_SAME_SIGN_SMALL_ORDER)
     table = _table(rows, width=5)
-    return table[:, :4], table[:, 4].astype(bool)
+    return _fit(table[:, :4], table[:, 4].astype(bool), budget_n)
 
 
 def predicted_same_sign_chain(budget_n: int) -> list[tuple[CyclePair, bool]]:
-    """Block-pattern prediction of the same-sign ordering for budgets >= 22.
+    """Block-pattern prediction of the same-sign ordering, for budgets >= 4.
 
-    With N the largest even total, the head block lists all (-,-) pairs of
-    total N from (2, N-2) inward, then the (+,+) pairs of total N from the
-    center outward down to first length 6.  Each later total T >= 22
-    contributes the stretch
+    With N the largest even total, at least 22, the head block lists all
+    (-,-) pairs of total N from (2, N-2) inward, then the (+,+) pairs of
+    total N from the center outward down to first length 6.  Each later
+    total T >= 22 contributes the stretch
 
         (2,T-2)- (4,T-2)+ (4,T-4)- ... center- (2,T)+ center+ ... (6,T-6)+
 
-    where the two interleaved (+,+) entries carry total T+2.  Totals below
-    22 follow the written-out small-budget order, spliced in after its
-    leading (C_2^+, C_20^+) entry which the pattern has already produced.
-    Flags mark exact ties with the previous entry.
+    where the two interleaved (+,+) entries carry total T+2.  The stretch
+    of total 20 stops after (2,22)+; the written-out tail follows.
+    Flags mark exact ties with the previous entry.  Only the pairs that
+    fit the budget are kept, and a flag only with its previous entry.
     """
     codes, tied = _same_sign_pattern(budget_n)
     return [(_pair(*row), flag) for row, flag in zip(codes.tolist(), tied.tolist())]
 
 
-def _mixed_pattern(budget_n: int) -> np.ndarray:
-    """Rows of the mixed block pattern, see predicted_mixed_chain."""
+def _mixed_pattern(budget_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and (all false) tie flags of the mixed block pattern, see predicted_mixed_chain."""
     _check_budget(budget_n)
     top = budget_n - (budget_n % 2)
     rows: list[Row] = []
@@ -396,7 +375,8 @@ def _mixed_pattern(budget_n: int) -> np.ndarray:
                 (m, -1, total - m, 1) if 2 * m <= total else (total - m, 1, m, -1)
                 for m in range(2, total - 3, 2)
             )
-    return _table(rows)
+    codes = _table(rows)
+    return codes, np.zeros(len(codes), dtype=bool)
 
 
 def predicted_mixed_chain(budget_n: int) -> list[CyclePair]:
@@ -406,7 +386,7 @@ def predicted_mixed_chain(budget_n: int) -> list[CyclePair]:
     negative cycle grows from 2 to T-4, so the positive partner never drops
     below C_4^+ except for the closing (C_2^-, C_2^+).
     """
-    return [_pair(*row) for row in _mixed_pattern(budget_n).tolist()]
+    return [_pair(*row) for row in _mixed_pattern(budget_n)[0].tolist()]
 
 
 def _compare_chain(sequence: OrderingSequence, codes: np.ndarray, tied: np.ndarray) -> str:
@@ -440,8 +420,21 @@ def check_mixed_chain(sequence: OrderingSequence) -> str:
 
     Returns "" on a pass, else the first mismatch.
     """
-    codes = _mixed_pattern(sequence.budget_n)
-    return _compare_chain(sequence, codes, np.zeros(len(codes), dtype=bool))
+    return _compare_chain(sequence, *_mixed_pattern(sequence.budget_n))
+
+
+def chain_details(sequence: OrderingSequence, first_n: int, tie_tol: float = TIE_TOL) -> list[str]:
+    """The chain check of the sequence restricted to each budget first_n..sequence.budget_n.
+
+    Builds the class's prediction once and fits it to each budget; a mixed
+    sequence must be floating-free.  Details are "" on a pass.
+    """
+    pattern = _same_sign_pattern if sequence.sign_class == SAME_SIGN else _mixed_pattern
+    codes, tied = pattern(sequence.budget_n)
+    return [
+        _compare_chain(restrict(sequence, n, tie_tol), *_fit(codes, tied, n))
+        for n in range(first_n, sequence.budget_n + 1)
+    ]
 
 
 def _strict_descent_detail(chain: np.ndarray) -> str:
@@ -472,7 +465,7 @@ def check_exact_total_chain(n: int) -> str:
     if detail:
         return detail
     family = _family_table(SAME_SIGN, np.array([n]))
-    numeric = family[np.argsort(-_values(family), kind="stable")]
+    numeric = family[_by_value(family, _values(family))]
     return "" if np.array_equal(numeric, chain) else "chain disagrees with numeric sort"
 
 
@@ -616,10 +609,11 @@ def extremal_pairs(budget_n: int) -> tuple[OrderingEntry, OrderingEntry]:
     detail = _extremal_detail(codes[top], codes[low], budget_n)
     if detail:
         raise RuntimeError(detail)
-    size = len(values)
+    # the union at budget_n, grouped as ordered_sequence groups with TIE_TOL
+    groups = 1 + int(np.count_nonzero(~(values[:-1] - values[1:] <= TIE_TOL)))
     maximum = OrderingEntry(pair=_pair(*codes[top].tolist()), value=float(values[top]), rank=1, tie_group=1)
     minimum = OrderingEntry(
-        pair=_pair(*codes[low].tolist()), value=float(values[low]), rank=size, tie_group=size
+        pair=_pair(*codes[low].tolist()), value=float(values[low]), rank=len(values), tie_group=groups
     )
     return maximum, minimum
 
@@ -644,11 +638,11 @@ __all__ = [
     "enumerate_pairs",
     "ordered_sequence",
     "restrict",
-    "small_budget_same_sign_order",
     "predicted_same_sign_chain",
     "predicted_mixed_chain",
     "check_same_sign_chain",
     "check_mixed_chain",
+    "chain_details",
     "check_exact_total_chain",
     "check_splice_inequalities",
     "splice_gap",

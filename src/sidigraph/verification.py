@@ -46,14 +46,12 @@ def run_verification(
         raise ValueError(f"matrix dimension {MAX_DIMENSION + 1} exceeds supported maximum {MAX_DIMENSION}")
     results: list[CheckResult] = []
 
-    # Each budget's ordering is the n_max ordering restricted to the pairs that fit.
+    # Each budget's ordering and prediction are the n_max ones cut to the pairs that fit.
     same_sign = orderings.ordered_sequence(n_max, orderings.SAME_SIGN)
     mixed = orderings.ordered_sequence(n_max, orderings.MIXED_SIGN, exclude_floating=True)
-    for n in range(22, n_max + 1):
-        detail = orderings.check_same_sign_chain(orderings.restrict(same_sign, n, tie_tol))
+    for n, detail in enumerate(orderings.chain_details(same_sign, 22, tie_tol), start=22):
         results.append(_from_detail(f"same-sign chain n={n}", detail))
-    for n in range(6, n_max + 1):
-        detail = orderings.check_mixed_chain(orderings.restrict(mixed, n, tie_tol))
+    for n, detail in enumerate(orderings.chain_details(mixed, 6, tie_tol), start=6):
         results.append(_from_detail(f"mixed chain n={n}", detail))
     for n in range(6, n_max + 1, 2):
         results.append(

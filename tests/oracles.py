@@ -243,6 +243,17 @@ def reference_extremes(budget_n: int) -> tuple[tuple, tuple, int]:
     return (top, top_value), (low, low_value), len(ranked)
 
 
+def reference_minimum_tie_group(budget_n: int, tie_tol: float = 1e-9) -> int:
+    """Tie group of the last pair when both classes are ordered together."""
+    valued = _valued_family(budget_n, False) + _valued_family(budget_n, True)
+    values = sorted((value for value, _ in valued), reverse=True)
+    group = 1
+    for previous, value in zip(values, values[1:]):
+        if previous - value > tie_tol:
+            group += 1
+    return group
+
+
 def _label(key: tuple[int, int, int, int]) -> str:
     sign = {1: "+", -1: "-"}
     return f"(C{key[0]}{sign[key[1]]},C{key[2]}{sign[key[3]]})"

@@ -100,6 +100,33 @@ def test_case_labels():
     assert energy_case_label(6, -1) == "2*cot(pi/6)"
 
 
+@pytest.mark.parametrize(
+    "function", [energy_cycle, iota_energy_cycle, energy_case_label, iota_case_label]
+)
+@pytest.mark.parametrize("n, sign", [(-3, 1), (0, 1), (1, -1), (4, 0), (4, 2)])
+def test_invalid_cycles_are_refused(function, n, sign):
+    with pytest.raises(ValueError):
+        function(n, sign)
+
+
+def test_values_and_labels_follow_one_case():
+    # each value is its label's formula, evaluated the way the formula reads
+    forms = {
+        "2*cot": lambda m: 2.0 / math.tan(math.pi / m),
+        "2*csc": lambda m: 2.0 / math.sin(math.pi / m),
+        "cot": lambda m: 1.0 / math.tan(math.pi / m),
+        "csc": lambda m: 1.0 / math.sin(math.pi / m),
+    }
+    for n in range(3, 300):
+        for sign in (1, -1):
+            for value, label in (
+                (energy_cycle(n, sign), energy_case_label(n, sign)),
+                (iota_energy_cycle(n, sign), iota_case_label(n, sign)),
+            ):
+                form, m = label[:-1].split("(pi/")
+                assert value.hex() == forms[form](int(m)).hex(), (n, sign, label)
+
+
 def test_exact_zero_for_c2_plus_pair():
     # the minimum of every family must be exactly zero, not rounding noise
     assert iota_energy_cycle(2, 1) == 0.0

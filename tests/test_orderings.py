@@ -21,11 +21,13 @@ from sidigraph import (
     restrict,
     splice_gap,
 )
-from sidigraph.orderings import MIXED_SIGN, SAME_SIGN, small_budget_same_sign_order
+from sidigraph import orderings, verification
+from sidigraph.orderings import MIXED_SIGN, SAME_SIGN
 from oracles import (
     brute_force_sign_pairs,
     reference_exact_total_verdict,
     reference_extremes,
+    reference_minimum_tie_group,
     reference_ordering,
 )
 
@@ -229,6 +231,13 @@ def test_extremal_pairs_match_loop_reference(n):
     assert (_key(minimum.pair), minimum.value.hex(), minimum.rank) == (low, low_value.hex(), size)
 
 
+@pytest.mark.parametrize("n", range(4, 81))
+def test_extremal_tie_groups_match_loop_reference(n):
+    maximum, minimum = extremal_pairs(n)
+    assert maximum.tie_group == 1
+    assert minimum.tie_group == reference_minimum_tie_group(n)
+
+
 @pytest.mark.parametrize("n", range(6, 81, 2))
 def test_exact_total_chain_matches_loop_reference(n):
     assert check_exact_total_chain(n) == reference_exact_total_verdict(n)
@@ -236,7 +245,7 @@ def test_exact_total_chain_matches_loop_reference(n):
 
 def test_small_budget_order_matches_numeric():
     for budget in range(4, 22):
-        expected = small_budget_same_sign_order(budget)
+        expected = predicted_same_sign_chain(budget)
         seq = ordered_sequence(budget, SAME_SIGN)
         assert [e.pair for e in seq.entries] == [p for p, _ in expected]
         for i, (_, tied) in enumerate(expected):
@@ -290,9 +299,60 @@ def test_predicted_chain_matches_written_example():
     ]
 
 
-def test_predicted_same_sign_chain_requires_22():
+def test_predicted_chains_refuse_budget_3():
     with pytest.raises(ValueError):
-        predicted_same_sign_chain(21)
+        predicted_same_sign_chain(3)
+    with pytest.raises(ValueError):
+        predicted_mixed_chain(3)
+
+
+@pytest.mark.parametrize("n", range(4, 22))
+def test_same_sign_chain_matches_sort_below_22(n):
+    assert check_same_sign_chain(ordered_sequence(n, SAME_SIGN)) == ""
+
+
+def test_predictions_are_the_largest_one_fitted_to_each_budget():
+    # fitting keeps the pairs with total <= n; a tie flag survives only
+    # when the entry before it survives
+    same_sign = predicted_same_sign_chain(200)
+    mixed = predicted_mixed_chain(200)
+    for n in range(4, 201):
+        fitted, previous_kept = [], False
+        for pair, tied in same_sign:
+            kept = pair.total_length <= n
+            if kept:
+                fitted.append((pair, tied and previous_kept))
+            previous_kept = kept
+        assert predicted_same_sign_chain(n) == fitted, n
+        assert predicted_mixed_chain(n) == [p for p in mixed if p.total_length <= n], n
+
+
+@pytest.mark.parametrize("tie_tol", [1e-9, 3.0])
+def test_chain_details_match_single_budget_checks(tie_tol):
+    same_sign = ordered_sequence(40, SAME_SIGN)
+    mixed = ordered_sequence(40, MIXED_SIGN, exclude_floating=True)
+    assert orderings.chain_details(same_sign, 4, tie_tol) == [
+        check_same_sign_chain(ordered_sequence(n, SAME_SIGN, tie_tol=tie_tol)) for n in range(4, 41)
+    ]
+    assert orderings.chain_details(mixed, 4, tie_tol) == [
+        check_mixed_chain(ordered_sequence(n, MIXED_SIGN, exclude_floating=True, tie_tol=tie_tol))
+        for n in range(4, 41)
+    ]
+
+
+def test_verify_builds_each_prediction_once(monkeypatch):
+    calls = {"_same_sign_pattern": 0, "_mixed_pattern": 0}
+    for name in calls:
+        builder = getattr(orderings, name)
+
+        def counted(budget_n, builder=builder, name=name):
+            calls[name] += 1
+            return builder(budget_n)
+
+        monkeypatch.setattr(orderings, name, counted)
+    results = verification.run_verification(30, grid_points=10)
+    assert calls == {"_same_sign_pattern": 1, "_mixed_pattern": 1}
+    assert sum(r.name.startswith(("same-sign chain", "mixed chain")) for r in results) == 9 + 25
 
 
 @pytest.mark.parametrize("n", range(6, 61, 2))
