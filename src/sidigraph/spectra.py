@@ -9,10 +9,11 @@ adjacency matrix -> monic characteristic polynomial (trace recursion) ->
 simultaneous root iteration (Aberth-Ehrlich, started on the circles of the
 Newton polygon), with every polynomial value taken by blocked
 baby-step/giant-step evaluation.  Each stage refuses what it cannot vouch
-for with a RootFindingError: a trace recursion whose partial sums may pass
-2^53, an iteration that does not reach the evaluation noise floor, a
-residual above 1e-10 * max(1, sum_k |c_k| |z|^k), and a root that is not
-finite or lies outside the Gershgorin disc.
+for with a RootFindingError: a non-cycle component above MAX_DIMENSION
+vertices, a trace recursion whose partial sums may pass 2^53, an iteration
+that does not reach the evaluation noise floor, a residual above
+1e-10 * max(1, sum_k |c_k| |z|^k), and a root that is not finite or lies
+outside the Gershgorin disc.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ import numpy as np
 
 from .graphs import SignedDigraph, adjacency_matrix, strong_components
 
-# Largest matrix char_poly accepts.  Below it, char_poly returns only
+# Largest matrix char_poly accepts; eigenvalues refuses a larger strong
+# component unless it is a cycle.  Below it, char_poly returns only
 # coefficients it has certified exact for an integer matrix; a recursion
 # whose partial sums may pass 2^53 raises RootFindingError instead.
 MAX_DIMENSION = 512
@@ -74,8 +76,10 @@ class RootFindingError(RuntimeError):
     """Root finding failed; carries diagnostics.
 
     roots and residuals are empty and iterations 0 when char_poly cannot
-    certify its coefficients; residuals is empty and iterations 0 when
-    eigenvalues rejects a root outside the Gershgorin bound.
+    certify its coefficients, and when eigenvalues refuses a strong
+    component that is not a cycle and has more than MAX_DIMENSION vertices;
+    residuals is empty and iterations 0 when eigenvalues rejects a root
+    outside the Gershgorin bound.
     """
 
     def __init__(self, message: str, roots: tuple[complex, ...], residuals: tuple[float, ...], iterations: int):
@@ -318,7 +322,9 @@ def eigenvalues(g: SignedDigraph, components: list[SignedDigraph] | None = None)
     components, when given, must be strong_components(g); a caller that
     has them already passes them so that they are not computed twice.  A
     strongly connected digraph with as many arcs as vertices (at least 2)
-    is exactly one directed cycle, so it is answered analytically.
+    is exactly one directed cycle, so it is answered analytically.  Any
+    other component of more than MAX_DIMENSION vertices is refused with a
+    RootFindingError before its matrix is built.
     """
     if components is None:
         components = strong_components(g)
@@ -330,6 +336,14 @@ def eigenvalues(g: SignedDigraph, components: list[SignedDigraph] | None = None)
         elif component.n_arcs == n:
             sign = math.prod(s for _tail, _head, s in component.arcs)
             values.extend(cycle_eigenvalues(n, sign).values)
+        elif n > MAX_DIMENSION:
+            raise RootFindingError(
+                f"strong component of {n} vertices exceeds the supported maximum "
+                f"{MAX_DIMENSION} of the characteristic polynomial",
+                roots=(),
+                residuals=(),
+                iterations=0,
+            )
         else:
             values.extend(_numeric_eigenvalues(adjacency_matrix(component)))
     return ComplexSpectrum(tuple(values))

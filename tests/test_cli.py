@@ -6,7 +6,14 @@ import time
 import numpy as np
 import pytest
 
-from sidigraph import adjacency_matrix, format_edge_list, join_with_arc, make_cycle, make_path
+from sidigraph import (
+    SignedDigraph,
+    adjacency_matrix,
+    format_edge_list,
+    join_with_arc,
+    make_cycle,
+    make_path,
+)
 from sidigraph.cli import main
 from seeded_graphs import chained_blocks, dense_scc
 
@@ -252,7 +259,7 @@ def test_verify_reports_bracket_defect_at_48(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # the 513-cycle is beyond the characteristic polynomial's size limit
+        # verify keeps the 512 cap on n_max until a run at 1000 is measured
         (["verify", "--n-max", "513"], "matrix dimension 513 exceeds supported maximum 512"),
         (["verify", "--n-max", "200", "--grid-points", "1"], "grid needs at least two points"),
     ],
@@ -421,6 +428,29 @@ def test_spectrum_dense_component_fails_loudly(tmp_path, capsys):
     assert err.startswith("error:")
     assert "not exact in double precision" in err
     assert "energy" not in out
+
+
+def test_spectrum_refuses_large_non_cycle_component_as_numeric_failure(tmp_path, capsys):
+    # a 600-cycle plus one chord is one strong component that is not a
+    # cycle; the file is valid, so its size refusal is a numeric failure
+    # (exit 1), not a usage error (exit 2)
+    cycle = make_cycle(600, 1)
+    path = tmp_path / "chord.txt"
+    path.write_text(format_edge_list(SignedDigraph(600, cycle.arcs + ((0, 300, 1),))), encoding="utf-8")
+    code, out, err = run_cli(capsys, "spectrum", str(path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "512" in err
+    assert "energy" not in out
+
+
+def test_spectrum_large_cycle_takes_the_analytic_branch(tmp_path, capsys):
+    path = tmp_path / "c600.txt"
+    path.write_text(format_edge_list(make_cycle(600, 1)), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "spectrum", str(path))
+    assert code == 0
+    assert "strong components: 1 (nontrivial 1)" in out
+    assert out.count("i\n") == 600
 
 
 def test_spectrum_parse_error_reports_line(tmp_path, capsys):

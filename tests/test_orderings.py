@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -21,7 +22,8 @@ from sidigraph import (
     restrict,
     splice_gap,
 )
-from sidigraph import orderings, verification
+import sidigraph
+from sidigraph import graphs, orderings, spectra, verification
 from sidigraph.orderings import MIXED_SIGN, SAME_SIGN
 from oracles import (
     brute_force_sign_pairs,
@@ -353,6 +355,39 @@ def test_verify_builds_each_prediction_once(monkeypatch):
     results = verification.run_verification(30, grid_points=10)
     assert calls == {"_same_sign_pattern": 1, "_mixed_pattern": 1}
     assert sum(r.name.startswith(("same-sign chain", "mixed chain")) for r in results) == 9 + 25
+
+
+def test_verify_roots_x_to_the_n_minus_sign_without_char_poly(monkeypatch):
+    # the cycle checks root x^n - sign (Harary 1962) instead of running the
+    # O(n^4) trace recursion on the cycle matrix; the polynomials must still
+    # be the ones that recursion gives, coefficient for coefficient
+    expected = [
+        spectra.char_poly(graphs.adjacency_matrix(graphs.make_cycle(n, sign))).coeffs
+        for n in range(2, 31)
+        for sign in (1, -1)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a cycle matrix or its characteristic polynomial")
+
+    for module in (sidigraph, spectra, graphs, verification):
+        monkeypatch.setattr(module, "char_poly", refuse, raising=False)
+        monkeypatch.setattr(module, "adjacency_matrix", refuse, raising=False)
+    rooted = []
+    poly_roots = verification.poly_roots
+
+    def recorded(p, *args, **kwargs):
+        rooted.append(p.coeffs)
+        return poly_roots(p, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "poly_roots", recorded)
+    results = verification.run_verification(30, grid_points=10)
+    assert all(r.passed for r in results)
+    names = "\n".join(r.name for r in results).encode("utf-8")
+    # the 213 check names of n_max 30, the same on either route
+    assert len(results) == 213
+    assert hashlib.sha256(names).hexdigest() == "9ca2716ab323be548a8784f3bf0ae07b00ce424fdf857ce04214f881abc7765e"
+    assert rooted == expected
 
 
 @pytest.mark.parametrize("n", range(6, 61, 2))

@@ -61,14 +61,15 @@ def test_char_poly_joined_against_cofactor_oracle():
     assert np.allclose(char_poly(a).coeffs, expected, atol=1e-10)
 
 
-@pytest.mark.parametrize("n", range(2, 65))
+@pytest.mark.parametrize("n", range(2, 129))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_char_poly_cycles_sweep(n, sign):
+    # exactly x^n - sign (Harary 1962), the polynomial verify roots for C_n
     p = char_poly(adjacency_matrix(make_cycle(n, sign)))
     expected = np.zeros(n + 1)
     expected[0] = -sign
     expected[n] = 1.0
-    assert np.max(np.abs(np.asarray(p.coeffs) - expected)) <= 1e-9
+    assert np.array_equal(np.asarray(p.coeffs), expected)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -262,6 +263,19 @@ def test_fast_path_agrees_with_numeric_route(n, sign):
     fast = eigenvalues(g)
     numeric = poly_roots(char_poly(adjacency_matrix(g)))
     match_multisets(fast.values, numeric.values, 1e-8)
+
+
+def test_eigenvalues_refuses_large_non_cycle_component_before_its_matrix(monkeypatch):
+    def refuse(g):
+        raise AssertionError("built the matrix of a component it must refuse")
+
+    monkeypatch.setattr(spectra, "adjacency_matrix", refuse)
+    g = SignedDigraph(513, make_cycle(513, -1).arcs + ((0, 2, 1),))
+    with pytest.raises(RootFindingError, match="maximum 512") as exc:
+        eigenvalues(g)
+    assert (exc.value.roots, exc.value.residuals, exc.value.iterations) == ((), (), 0)
+    # a cycle of the same size takes the analytic branch
+    assert len(eigenvalues(make_cycle(513, -1)).values) == 513
 
 
 def test_eigenvalues_joined_graph():
