@@ -32,7 +32,8 @@ SAME_SIGN = "same_sign"
 MIXED_SIGN = "mixed_sign"
 
 # Values closer than this are one tie group; genuine gaps between distinct
-# pair values stay above 4e-5 for budgets up to 60 (see the gap audit test).
+# pair values stay above 4e-5 for budgets up to 60 and above 1.6e-8 up to
+# 1000 (see the gap audit tests).
 TIE_TOL = 1e-9
 
 Row = tuple[int, int, int, int]  # (c1 length, c1 sign, c2 length, c2 sign)
@@ -423,18 +424,84 @@ def check_mixed_chain(sequence: OrderingSequence) -> str:
     return _compare_chain(sequence, *_mixed_pattern(sequence.budget_n))
 
 
+def _failing_budgets(sequence: OrderingSequence, codes: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """Whether the chain check fails at each budget 0..sequence.budget_n, from the n_max table alone.
+
+    Valid when the sequence's tie groups are narrow for the tolerance of
+    the check, as chain_details makes sure.  Then masking to total <= n
+    neither splits nor merges a group, so the budget-n ordering is the
+    sequence masked, as the fitted prediction is the prediction masked.
+    Masked rows that are equal at n are equal below n, so they are equal
+    up to a limit found by binary search.  Up to it, each row's numeric tie
+    flag turns on at the smallest total of an earlier row of its group, and
+    its predicted flag, if set, at the total of the prediction's row before
+    it; a budget fails where the two differ.
+    """
+    n_max = sequence.budget_n
+    totals = sequence.codes[:, 0] + sequence.codes[:, 2]
+    predicted_totals = codes[:, 0] + codes[:, 2]
+
+    def rows_equal(n: int) -> bool:
+        return np.array_equal(sequence.codes[totals <= n], codes[predicted_totals <= n])
+
+    lo, hi = 0, n_max + 1  # rows_equal(lo) holds, rows_equal(hi) is taken to fail
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if rows_equal(mid) else (lo, mid)
+    limit = lo
+
+    # the smallest total of an earlier row of the same group, never if none:
+    # offsetting each group below the one before makes a running minimum
+    # restart at every group
+    never = n_max + 1
+    offset = (n_max + 1) * sequence.tie_groups
+    earliest = np.minimum.accumulate(totals - offset) + offset
+    numeric_on = np.full(len(totals), never)
+    same_group = sequence.tie_groups[1:] == sequence.tie_groups[:-1]
+    numeric_on[1:][same_group] = earliest[:-1][same_group]
+    predicted_on = np.full(len(codes), never)
+    predicted_on[1:][tied[1:]] = predicted_totals[:-1][tied[1:]]
+
+    # up to the limit the i-th row with total <= limit is the same in both;
+    # from the row's own total on, its flags differ between the two steps
+    here, there = np.flatnonzero(totals <= limit), np.flatnonzero(predicted_totals <= limit)
+    numeric, predicted = numeric_on[here], predicted_on[there]
+    start = np.maximum(totals[here], np.minimum(numeric, predicted))
+    stop = np.maximum(numeric, predicted)
+    some = start < stop
+    mismatches = np.bincount(start[some], minlength=n_max + 2) - np.bincount(stop[some], minlength=n_max + 2)
+    fails = np.cumsum(mismatches)[: n_max + 1] > 0
+    fails[limit + 1 :] = True
+    return fails
+
+
 def chain_details(sequence: OrderingSequence, first_n: int, tie_tol: float = TIE_TOL) -> list[str]:
     """The chain check of the sequence restricted to each budget first_n..sequence.budget_n.
 
-    Builds the class's prediction once and fits it to each budget; a mixed
-    sequence must be floating-free.  Details are "" on a pass.
+    Builds the class's prediction once; a mixed sequence must be
+    floating-free.  Details are "" on a pass.  When the sequence's tie
+    groups are narrow for tie_tol (each spans at most tie_tol and drops to
+    the next by more), the verdicts of all budgets come from the n_max
+    table in O(rows) passes, see _failing_budgets, and only the failing
+    budgets are candidates; otherwise, as for a sequence grouped with
+    another tolerance or at tie_tol 3.0, every budget is.  Each candidate
+    is judged by restrict, _fit and _compare_chain, so its detail is the
+    text a check of ordered_sequence at that budget gives.
     """
+    if first_n < 4:
+        raise ValueError(f"budget must be in 4..{sequence.budget_n}, got {first_n}")
     pattern = _same_sign_pattern if sequence.sign_class == SAME_SIGN else _mixed_pattern
     codes, tied = pattern(sequence.budget_n)
-    return [
-        _compare_chain(restrict(sequence, n, tie_tol), *_fit(codes, tied, n))
-        for n in range(first_n, sequence.budget_n + 1)
-    ]
+    budgets = np.arange(first_n, sequence.budget_n + 1)
+    starts = np.flatnonzero(np.diff(sequence.tie_groups, prepend=0))
+    highest = np.maximum.reduceat(sequence.values, starts)
+    lowest = np.minimum.reduceat(sequence.values, starts)
+    if np.all(highest - lowest <= tie_tol) and np.all(lowest[:-1] - highest[1:] > tie_tol):
+        budgets = budgets[_failing_budgets(sequence, codes, tied)[first_n:]]
+    details = [""] * max(0, sequence.budget_n + 1 - first_n)
+    for n in budgets.tolist():
+        details[n - first_n] = _compare_chain(restrict(sequence, n, tie_tol), *_fit(codes, tied, n))
+    return details
 
 
 def _strict_descent_detail(chain: np.ndarray) -> str:

@@ -10,8 +10,9 @@ simultaneous root iteration (Aberth-Ehrlich, started on the circles of the
 Newton polygon), with every polynomial value taken by blocked
 baby-step/giant-step evaluation.  Each stage refuses what it cannot vouch
 for with a RootFindingError: a non-cycle component above MAX_DIMENSION
-vertices, a trace recursion whose partial sums may pass 2^53, an iteration
-that does not reach the evaluation noise floor, a residual above
+vertices, a trace recursion whose partial sums may pass 2^53, two root
+approximations that coincide or one that is not finite, an iteration that
+does not reach the evaluation noise floor, a residual above
 1e-10 * max(1, sum_k |c_k| |z|^k), and a root that is not finite or lies
 outside the Gershgorin disc.
 """
@@ -38,6 +39,17 @@ EXACT_INTEGER_LIMIT = 2.0**53
 
 # A root is accepted when |p(z)| <= RESIDUAL_TOL * max(1, sum_k |c_k| |z|^k).
 RESIDUAL_TOL = 1e-10
+
+# Newton-polygon hull points this close to collinear (relative to the
+# log-coefficient scale) are merged.  Rounding of the logs moves a cross
+# product by a few eps per unit; merging nearly collinear points moves the
+# start circles by about the tolerance, which no iteration notices.
+HULL_TOL = 1e-12
+
+# Rows of z_i - z_j that one step of the Aberth sums forms at once; a block
+# of 128 rows at degree 512 is 1 MB of complex doubles, and degrees up to
+# 128 run as one block.
+SUM_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -79,7 +91,9 @@ class RootFindingError(RuntimeError):
     certify its coefficients, and when eigenvalues refuses a strong
     component that is not a cycle and has more than MAX_DIMENSION vertices;
     residuals is empty and iterations 0 when eigenvalues rejects a root
-    outside the Gershgorin bound.
+    outside the Gershgorin bound; residuals is empty when two root
+    approximations coincide or one is not finite, and roots holds the
+    approximations.
     """
 
     def __init__(self, message: str, roots: tuple[complex, ...], residuals: tuple[float, ...], iterations: int):
@@ -173,7 +187,11 @@ def _newton_polygon_start(abs_c: np.ndarray) -> np.ndarray:
     An edge from k to j of the upper convex hull of (k, log|c_k|) holds
     j - k roots near the circle of radius (|c_k|/|c_j|)^(1/(j-k)); they
     start there, evenly spaced, offset by 2*pi*k/degree + 0.4 so that points
-    on different circles stay apart.
+    on different circles stay apart.  A hull point within HULL_TOL
+    (relative) of the chord of its neighbours is dropped as collinear: two
+    edges of one slope would put two sets of points on one circle, where
+    they can coincide, as the points (10, log 8), (14, log 2), (16, 0) of a
+    degree-16 characteristic polynomial did.
     """
     degree = len(abs_c) - 1
     hull: list[tuple[int, float]] = []
@@ -181,7 +199,9 @@ def _newton_polygon_start(abs_c: np.ndarray) -> np.ndarray:
         point = (int(k), math.log(abs_c[k]))
         while len(hull) >= 2:
             (k0, y0), (k1, y1) = hull[-2], hull[-1]
-            if (k1 - k0) * (point[1] - y0) - (y1 - y0) * (point[0] - k0) < 0:
+            cross = (k1 - k0) * (point[1] - y0) - (y1 - y0) * (point[0] - k0)
+            scale = (point[0] - k0) * max(1.0, abs(y0), abs(y1), abs(point[1]))
+            if cross < -HULL_TOL * scale:
                 break
             hull.pop()
         hull.append(point)
@@ -194,6 +214,27 @@ def _newton_polygon_start(abs_c: np.ndarray) -> np.ndarray:
     return np.concatenate(starts)
 
 
+def _reciprocal_sums(z: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 1/(z_i - z_j) for every i, SUM_BLOCK rows at a time.
+
+    Each block of differences is divided in place, so the working set stays
+    SUM_BLOCK rows wide instead of the whole degree x degree matrix; every
+    row sums the same values in the same order as unblocked, so the sums
+    are bit-identical to it.  Two equal approximations, or one that is not
+    finite, make sums that are not finite.
+    """
+    n = len(z)
+    sums = np.empty_like(z)
+    for start in range(0, n, SUM_BLOCK):
+        block = z[start : start + SUM_BLOCK, None] - z
+        # row i of the block is row start + i of the matrix, whose diagonal
+        # entry sits at flat index start + i * (n + 1) of the block
+        block.ravel()[start :: n + 1] = np.inf
+        np.divide(1.0, block, out=block)
+        block.sum(axis=1, out=sums[start : start + SUM_BLOCK])
+    return sums
+
+
 def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, bool]:
     """Aberth-Ehrlich iteration for a monic polynomial with nonzero constant term.
 
@@ -201,7 +242,9 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, b
     residual |p(z)| reaches the double-precision evaluation noise floor,
     which is the best any polishing can do.  Returns the roots, the number
     of iterations and whether every residual reached its floor within
-    max_iterations.
+    max_iterations.  Raises RootFindingError when two approximations
+    coincide or one is not finite, where the sums of 1/(z_i - z_j) break
+    down.
     """
     degree = len(coeffs) - 1
     c = coeffs.astype(np.complex128)
@@ -220,10 +263,20 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, b
         dp = _evaluate(dc, z)
         dp = np.where(dp == 0, eps, dp)
         w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
-        s = np.where(np.isfinite(s), s, 0.0)
+        s = _reciprocal_sums(z)
+        if not np.isfinite(s).all():
+            # two equal approximations would move alike and end on one root,
+            # and one that is not finite never comes back
+            if np.isfinite(z).all():
+                cause = "two root approximations coincide"
+            else:
+                cause = "a root approximation is not finite"
+            raise RootFindingError(
+                f"{cause} after {iterations - 1} iterations",
+                roots=tuple(z.tolist()),
+                residuals=(),
+                iterations=iterations - 1,
+            )
         denom = 1.0 - w * s
         denom = np.where(denom == 0, 1.0, denom)
         z = np.where(active, z - w / denom, z)

@@ -6,8 +6,11 @@ polynomials, component partitions from a reachability matrix, pair families
 from a direct double loop, polynomial values from rational arithmetic.  Two
 exceptions are earlier forms of package code that the current forms must
 reproduce bit for bit: `float_trace_recursion`, the step-by-step form of
-`char_poly`, and `reference_csv`, `reference_text` and `reference_svg`, the
-row-by-row renderers, which read an OrderingSequence's columns.
+`char_poly`; `unblocked_reciprocal_sums`, the whole-matrix form of the
+Aberth sums; `reference_chain_details`, the per-budget sweep of
+`chain_details`, which calls the package's per-budget check; and
+`reference_csv`, `reference_text` and `reference_svg`, the row-by-row
+renderers, which read an OrderingSequence's columns.
 """
 from __future__ import annotations
 
@@ -94,6 +97,18 @@ def float_trace_recursion(matrix) -> tuple[float, ...]:
         descending.append(ck)
         m = am + ck * np.eye(n)
     return tuple(float(c) for c in reversed(descending))
+
+
+def unblocked_reciprocal_sums(z):
+    """sum_{j != i} 1/(z_i - z_j) for every i from the whole difference matrix.
+
+    The earlier form of the Aberth sums in spectra._aberth.
+    """
+    import numpy as np
+
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, np.inf)
+    return (1.0 / diff).sum(axis=1)
 
 
 def exact_poly_value(coeffs, z: complex) -> tuple[Fraction, Fraction]:
@@ -271,6 +286,23 @@ def reference_exact_total_verdict(n: int, tie_tol: float = 1e-9) -> str:
     exact = [(v, k) for v, k in _valued_family(n, False) if k[0] + k[2] == n]
     numeric = [k for _, k in sorted(exact, key=lambda item: -item[0])]
     return "" if numeric == chain else "chain disagrees with numeric sort"
+
+
+def reference_chain_details(sequence, first_n: int, tie_tol: float) -> list[str]:
+    """orderings.chain_details by the per-budget sweep it replaced.
+
+    Every budget's ordering is restricted from the sequence, sorted and
+    grouped again, and compared with the class's prediction fitted to that
+    budget.
+    """
+    from sidigraph import orderings
+
+    pattern = orderings._same_sign_pattern if sequence.sign_class == orderings.SAME_SIGN else orderings._mixed_pattern
+    codes, tied = pattern(sequence.budget_n)
+    return [
+        orderings._compare_chain(orderings.restrict(sequence, n, tie_tol), *orderings._fit(codes, tied, n))
+        for n in range(first_n, sequence.budget_n + 1)
+    ]
 
 
 # --- renderers -----------------------------------------------------------------

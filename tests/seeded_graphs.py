@@ -58,3 +58,24 @@ def chained_blocks(seed: int, n_blocks: int = 3, size: int = 24, per_vertex: int
                 signed[(t, h)] = rng.choice((1, -1))
     arcs = tuple((t, h, s) for (t, h), s in signed.items())
     return SignedDigraph(n_blocks * size, arcs), blocks
+
+
+def collinear_hull_scc() -> SignedDigraph:
+    """A 16-vertex strong component of a generated 42-vertex digraph.
+
+    Its characteristic polynomial, ascending,
+    [1, 1, -9, 17, -26, 16, -15, -3, -12, 3, -8, -1, 2, -1, 2, 0, 1], has
+    the Newton-polygon points (10, log 8), (14, log 2) and (16, 0) on one
+    line.  Kept as two edges of one radius, they started two pairs of root
+    approximations at the same points, and the route printed energy 7.02
+    and iota energy 13.44 where LAPACK gives 10.11 and 11.89, with exit 0.
+    """
+    arcs = (
+        (0, 2, -1), (0, 5, 1), (0, 11, -1), (1, 3, -1), (1, 7, -1), (1, 9, -1), (1, 10, 1),
+        (2, 1, -1), (2, 3, 1), (2, 12, 1), (2, 14, 1), (3, 6, -1), (3, 10, 1), (4, 3, 1),
+        (4, 6, 1), (4, 14, -1), (4, 15, 1), (5, 3, -1), (5, 6, -1), (5, 7, -1), (5, 15, 1),
+        (6, 5, -1), (6, 12, 1), (6, 13, 1), (7, 8, 1), (7, 13, 1), (8, 0, 1), (8, 1, -1),
+        (8, 3, -1), (8, 12, -1), (9, 8, 1), (10, 3, -1), (10, 4, -1), (11, 1, 1), (12, 8, 1),
+        (12, 9, -1), (13, 2, 1), (13, 6, -1), (14, 6, 1), (15, 7, 1), (15, 11, -1),
+    )
+    return SignedDigraph(16, arcs)

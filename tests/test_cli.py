@@ -15,7 +15,7 @@ from sidigraph import (
     make_path,
 )
 from sidigraph.cli import main
-from seeded_graphs import chained_blocks, dense_scc
+from seeded_graphs import chained_blocks, collinear_hull_scc, dense_scc
 
 
 def run_cli(capsys, *argv):
@@ -259,8 +259,8 @@ def test_verify_reports_bracket_defect_at_48(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # verify keeps the 512 cap on n_max until a run at 1000 is measured
-        (["verify", "--n-max", "513"], "matrix dimension 513 exceeds supported maximum 512"),
+        # the cap names the argument (it used to print 513 for any n_max)
+        (["verify", "--n-max", "1001"], "n_max must be <= 1000, got 1001"),
         (["verify", "--n-max", "200", "--grid-points", "1"], "grid needs at least two points"),
     ],
 )
@@ -412,6 +412,20 @@ def test_spectrum_chained_blocks_match_per_block_lapack(tmp_path, capsys, seed):
     assert "strong components: 3 (nontrivial 3)" in out
     a = adjacency_matrix(g).astype(np.float64)
     z = np.concatenate([np.linalg.eigvals(a[np.ix_(b, b)]) for b in blocks])
+    fields = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    assert abs(float(fields["energy"]) - np.abs(z.real).sum()) <= 1e-6
+    assert abs(float(fields["iota energy"]) - np.abs(z.imag).sum()) <= 1e-6
+
+
+def test_spectrum_collinear_hull_component_prints_lapack_energies(tmp_path, capsys):
+    # printed energy 7.021565 and iota energy 13.436129 with exit 0, from
+    # root approximations that started in coinciding pairs
+    g = collinear_hull_scc()
+    path = tmp_path / "collinear.txt"
+    path.write_text(format_edge_list(g), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "spectrum", str(path))
+    assert code == 0
+    z = np.linalg.eigvals(adjacency_matrix(g).astype(np.float64))
     fields = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
     assert abs(float(fields["energy"]) - np.abs(z.real).sum()) <= 1e-6
     assert abs(float(fields["iota energy"]) - np.abs(z.imag).sum()) <= 1e-6

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from sidigraph import (
@@ -27,6 +28,7 @@ from sidigraph import graphs, orderings, spectra, verification
 from sidigraph.orderings import MIXED_SIGN, SAME_SIGN
 from oracles import (
     brute_force_sign_pairs,
+    reference_chain_details,
     reference_exact_total_verdict,
     reference_extremes,
     reference_minimum_tie_group,
@@ -274,6 +276,18 @@ def test_gap_audit():
     assert max_tie < 1e-12
 
 
+def test_gap_audit_at_the_verify_cap():
+    # distinct values at a smaller budget are distinct here, so their gaps
+    # are no smaller: up to verify's cap every tie group holds only ties
+    for sign_class, exclude in ((SAME_SIGN, False), (MIXED_SIGN, False), (MIXED_SIGN, True)):
+        seq = ordered_sequence(verification.MAX_N_MAX, sign_class, exclude_floating=exclude)
+        starts = np.flatnonzero(np.diff(seq.tie_groups, prepend=0))
+        highest = np.maximum.reduceat(seq.values, starts)
+        lowest = np.minimum.reduceat(seq.values, starts)
+        assert (lowest[:-1] - highest[1:]).min() > 10 * orderings.TIE_TOL
+        assert (highest - lowest).max() < 1e-12
+
+
 # --- block-pattern checks --------------------------------------------------
 
 @pytest.mark.parametrize("n", range(22, 61))
@@ -340,6 +354,50 @@ def test_chain_details_match_single_budget_checks(tie_tol):
         check_mixed_chain(ordered_sequence(n, MIXED_SIGN, exclude_floating=True, tie_tol=tie_tol))
         for n in range(4, 41)
     ]
+
+
+@pytest.mark.parametrize("tie_tol", [1e-9, 0.0, 1e-6, 3.0])
+@pytest.mark.parametrize(
+    "n_max, first_n", [(4, 4), (5, 4), (21, 4), (22, 22), (23, 6), (30, 4), (47, 6), (60, 22), (101, 4), (200, 6)]
+)
+def test_chain_details_equal_the_per_budget_sweep(n_max, first_n, tie_tol):
+    # one pass over the n_max table where tie groups are narrow, the sweep
+    # over every budget where they are not: a group wider than tie_tol
+    # (3.0), or groups made with another tolerance
+    for sequence_tol in {tie_tol, orderings.TIE_TOL}:
+        for sequence in (
+            ordered_sequence(n_max, SAME_SIGN, tie_tol=sequence_tol),
+            ordered_sequence(n_max, MIXED_SIGN, exclude_floating=True, tie_tol=sequence_tol),
+        ):
+            expected = reference_chain_details(sequence, first_n, tie_tol)
+            assert orderings.chain_details(sequence, first_n, tie_tol) == expected
+
+
+def test_chain_details_judge_a_sequence_the_prediction_misses():
+    # the full mixed ordering keeps its floating pairs, which the
+    # floating-free prediction lacks, so every budget from 6 up fails
+    sequence = ordered_sequence(40, MIXED_SIGN)
+    details = orderings.chain_details(sequence, 4)
+    assert details == reference_chain_details(sequence, 4, orderings.TIE_TOL)
+    assert [bool(d) for d in details] == [False, False] + [True] * 35
+
+
+def test_chain_details_refuse_a_budget_below_4():
+    with pytest.raises(ValueError, match="budget must be in 4..30, got 3"):
+        orderings.chain_details(ordered_sequence(30, SAME_SIGN), 3)
+
+
+def test_verify_restricts_no_budget_at_the_default_tolerance(monkeypatch):
+    restricted = []
+
+    def recorded(sequence, budget_n, tie_tol=orderings.TIE_TOL):
+        restricted.append(budget_n)
+        return restrict(sequence, budget_n, tie_tol)
+
+    monkeypatch.setattr(orderings, "restrict", recorded)
+    results = verification.run_verification(100, grid_points=10)
+    assert restricted == []
+    assert sum(r.name.startswith(("same-sign chain", "mixed chain")) for r in results) == 79 + 95
 
 
 def test_verify_builds_each_prediction_once(monkeypatch):

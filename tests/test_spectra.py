@@ -26,8 +26,14 @@ from sidigraph import (
     poly_roots,
 )
 from sidigraph import spectra
-from oracles import cofactor_char_poly, exact_poly_value, float_trace_recursion, match_multisets
-from seeded_graphs import chained_blocks, dense_scc
+from oracles import (
+    cofactor_char_poly,
+    exact_poly_value,
+    float_trace_recursion,
+    match_multisets,
+    unblocked_reciprocal_sums,
+)
+from seeded_graphs import chained_blocks, collinear_hull_scc, dense_scc
 
 
 def analytic_cycle_roots(n, sign):
@@ -186,6 +192,63 @@ def test_poly_roots_reports_failure_with_diagnostics():
     assert len(exc.value.roots) == 50
     assert len(exc.value.residuals) == 50
     assert exc.value.iterations == 1
+
+
+COLLINEAR_HULL_POLY = (1, 1, -9, 17, -26, 16, -15, -3, -12, 3, -8, -1, 2, -1, 2, 0, 1)
+
+
+def test_newton_polygon_merges_collinear_hull_points():
+    # (10, log 8), (14, log 2) and (16, 0) lie on one line; as two edges of
+    # radius sqrt(2) they started points 11 and 14, 13 and 15 together
+    starts = spectra._newton_polygon_start(np.abs(np.array(COLLINEAR_HULL_POLY, dtype=np.float64)))
+    assert len(np.unique(starts)) == 16
+    assert np.count_nonzero(np.isclose(np.abs(starts), math.sqrt(2.0))) == 6
+
+
+def test_poly_roots_of_collinear_hull_polynomial_match_lapack():
+    # coinciding starts converged in pairs onto one root: 0.0978+0.8444i
+    # three times, and -1.4366, 1.4188 and -0.9268+0.7462i missing
+    spec = poly_roots(Polynomial(COLLINEAR_HULL_POLY))
+    match_multisets(spec.values, np.roots(COLLINEAR_HULL_POLY[::-1]), 1e-6)
+    assert char_poly(adjacency_matrix(collinear_hull_scc())).coeffs == COLLINEAR_HULL_POLY
+
+
+@pytest.mark.parametrize(
+    "first, message",
+    [
+        # 1 / (z_i - z_j) and p / p' of a NaN warn before the refusal
+        pytest.param(
+            1j,
+            "two root approximations coincide after 0 iterations",
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+        ),
+        pytest.param(
+            np.nan,
+            "a root approximation is not finite after 0 iterations",
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+        ),
+    ],
+)
+def test_aberth_refuses_coinciding_or_non_finite_approximations(monkeypatch, first, message):
+    # two equal approximations would move alike and end on one root; their
+    # sums used to be zeroed, with a RuntimeWarning as the only sign
+    starts = np.array([first, 1j, -1.0, 0.5], dtype=np.complex128)
+    monkeypatch.setattr(spectra, "_newton_polygon_start", lambda abs_c: starts)
+    with pytest.raises(RootFindingError, match=message) as exc:
+        poly_roots(Polynomial((-1.0, 0.0, 0.0, 0.0, 1.0)))
+    assert len(exc.value.roots) == 4
+    assert exc.value.residuals == ()
+    assert exc.value.iterations == 0
+
+
+@pytest.mark.parametrize("degree", [127, 128, 129, 300])
+def test_reciprocal_sums_are_bit_identical_to_the_whole_matrix(degree):
+    # degrees up to SUM_BLOCK run as one block, larger ones in row blocks
+    rng = np.random.default_rng(degree)
+    z = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    assert np.array_equal(spectra._reciprocal_sums(z), unblocked_reciprocal_sums(z))
+    starts = spectra._newton_polygon_start(np.r_[1.0, np.zeros(degree - 1), 1.0])
+    assert np.array_equal(spectra._reciprocal_sums(starts), unblocked_reciprocal_sums(starts))
 
 
 @pytest.mark.parametrize("degree", [128, 200])
