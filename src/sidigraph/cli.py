@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import sys
 from pathlib import Path
 
@@ -203,10 +204,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call and then reused.
+
+    Parsing leaves no state in the parser, so one parser serves every call
+    of a process; building it costs almost a millisecond.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -251,12 +251,18 @@ class EdgeListParseError(ValueError):
         self.line_number = line_number
 
 
+def _is_decimal(field: str) -> bool:
+    """Only ASCII digits: int() would also take '1_2', '+3' and non-ASCII digits."""
+    return field.isascii() and field.isdigit()
+
+
 def parse_edge_list(text: str) -> SignedDigraph:
     """Parse the edge-list text format.
 
     First significant line is ``n <vertex count>``; every following line is
-    ``tail head sign`` with sign +1 or -1.  Blank lines and lines starting
-    with ``#`` are ignored.
+    ``tail head sign`` with sign +1 or -1.  The vertex count, tail and head
+    are written in ASCII decimal digits only.  Blank lines and lines
+    starting with ``#`` are ignored.
     """
     n_vertices: int | None = None
     arcs: list[Arc] = []
@@ -269,19 +275,17 @@ def parse_edge_list(text: str) -> SignedDigraph:
         if n_vertices is None:
             if len(fields) != 2 or fields[0] != "n":
                 raise EdgeListParseError(line_number, "expected header 'n <vertex count>'")
-            try:
-                n_vertices = int(fields[1])
-            except ValueError:
-                raise EdgeListParseError(line_number, f"bad vertex count {fields[1]!r}") from None
+            if not _is_decimal(fields[1]):
+                raise EdgeListParseError(line_number, f"bad vertex count {fields[1]!r}")
+            n_vertices = int(fields[1])
             if n_vertices < 1:
                 raise EdgeListParseError(line_number, "vertex count must be >= 1")
             continue
         if len(fields) != 3:
             raise EdgeListParseError(line_number, "expected 'tail head sign'")
-        try:
-            tail, head = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise EdgeListParseError(line_number, "tail and head must be integers") from None
+        if not (_is_decimal(fields[0]) and _is_decimal(fields[1])):
+            raise EdgeListParseError(line_number, "tail and head must be integers")
+        tail, head = int(fields[0]), int(fields[1])
         if fields[2] not in ("+1", "-1"):
             raise EdgeListParseError(line_number, f"sign must be +1 or -1, got {fields[2]!r}")
         if not (0 <= tail < n_vertices and 0 <= head < n_vertices):

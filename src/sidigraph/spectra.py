@@ -5,7 +5,10 @@ its spectrum is the union of the spectra of the components.  `eigenvalues`
 is the one route: a singleton component contributes 0, a component with as
 many arcs as vertices is one signed cycle and contributes the n-th roots of
 its sign, and any other component goes through the numeric pipeline,
-adjacency matrix -> monic characteristic polynomial (trace recursion) ->
+adjacency matrix -> monic characteristic polynomial (trace recursion,
+certified exact for an integer matrix in two tiers: float32 steps while
+every value stays within 2^24, then float64 steps while it stays within
+2^53) ->
 simultaneous root iteration (Aberth-Ehrlich, started on the circles of the
 Newton polygon), with every polynomial value taken by blocked
 baby-step/giant-step evaluation.  Each stage refuses what it cannot vouch
@@ -36,6 +39,10 @@ MAX_DIMENSION = 512
 # Every integer of magnitude at most 2^53 is a double, and so is every sum
 # of them that stays in that range.
 EXACT_INTEGER_LIMIT = 2.0**53
+
+# The same for single precision: char_poly runs a step of an integer
+# matrix in float32 while its bounds stay within 2^24.
+SINGLE_EXACT_LIMIT = 2.0**24
 
 # A root is accepted when |p(z)| <= RESIDUAL_TOL * max(1, sum_k |c_k| |z|^k).
 RESIDUAL_TOL = 1e-10
@@ -115,9 +122,19 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     trace.  If either passes 2^53 the coefficients may be rounded, and a
     RootFindingError with empty diagnostics is raised instead.  Cycles and
     sparse components stay far inside the bound; dense ones of a few dozen
-    vertices pass it.  Each step adds c_k to the diagonal of A M_{k-1} in
-    place, through a view, and reads max|M_{k-1}| as max(max M, -min M);
-    with every value an integer below 2^53, both are exact.
+    vertices pass it.
+
+    The certificate has a second tier: single precision holds every integer
+    up to 2^24.  An integer matrix starts in float32 and keeps a step there
+    while r * max|M_{k-1}| <= 2^24 for the product and
+    max|diag(A M_{k-1})| + |c_k| <= 2^24 for the diagonal update; at the
+    first step where either fails it goes over to float64 for good.  The
+    trace and the bounds are summed in float64 on both tiers, so the
+    coefficients and the refusal are the same as an all-float64 recursion;
+    a matrix that is not integer-valued runs in float64 from the start.
+    Each step adds c_k to the diagonal of A M_{k-1} in place, through a
+    view, and reads max|M_{k-1}| as max(max M, -min M); with every value an
+    exact integer, both are exact.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -126,13 +143,21 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     if n > MAX_DIMENSION:
         raise ValueError(f"matrix dimension {n} exceeds supported maximum {MAX_DIMENSION}")
     row_sum = float(np.abs(a).sum(axis=1).max(initial=0.0))
+    # r <= 2^24 is the first step's product bound, and it makes A exact in
+    # float32; NaN and infinite entries fail one of the two tests
+    single = row_sum <= SINGLE_EXACT_LIMIT and bool((a == np.trunc(a)).all())
+    a_single = a.astype(np.float32) if single else None
     descending = [1.0]
-    m = np.eye(n)
+    m = np.eye(n, dtype=np.float32 if single else np.float64)
     for k in range(1, n + 1):
         product_bound = row_sum * float(max(m.max(), -m.min()))
-        am = a @ m
+        if single and product_bound > SINGLE_EXACT_LIMIT:
+            single = False
+            m = m.astype(np.float64)
+        am = (a_single if single else a) @ m
         diagonal = am.ravel()[:: n + 1]
-        trace_bound = float(np.abs(diagonal).sum())
+        abs_diagonal = np.abs(diagonal)
+        trace_bound = float(np.add.reduce(abs_diagonal, dtype=np.float64))
         reached = max(product_bound, trace_bound)
         if reached > EXACT_INTEGER_LIMIT:
             raise RootFindingError(
@@ -142,8 +167,17 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
                 residuals=(),
                 iterations=0,
             )
-        ck = -diagonal.sum() / k
+        ck = -float(np.add.reduce(diagonal, dtype=np.float64)) / k
         descending.append(ck)
+        # max|diag| <= product_bound, so the cheap test decides most steps
+        if (
+            single
+            and product_bound + abs(ck) > SINGLE_EXACT_LIMIT
+            and float(abs_diagonal.max()) + abs(ck) > SINGLE_EXACT_LIMIT
+        ):
+            single = False
+            am = am.astype(np.float64)
+            diagonal = am.ravel()[:: n + 1]
         diagonal += ck
         m = am
     return Polynomial(tuple(reversed(descending)))

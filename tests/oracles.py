@@ -99,6 +99,31 @@ def float_trace_recursion(matrix) -> tuple[float, ...]:
     return tuple(float(c) for c in reversed(descending))
 
 
+def largest_single_precision_bound(matrix) -> float:
+    """Largest bound of char_poly's float32 tier over every step.
+
+    Runs the step-by-step float64 recursion and takes, at each step, the
+    product bound r * max|M_{k-1}| and the diagonal-update bound
+    max|diag(A M_{k-1})| + |c_k|.  The recursion stays in float32 to the
+    end exactly when the result is at most 2^24.  Only meaningful when
+    float_trace_recursion accepts the matrix.
+    """
+    import numpy as np
+
+    a = np.asarray(matrix, dtype=np.float64)
+    n = a.shape[0]
+    row_sum = float(np.abs(a).sum(axis=1).max(initial=0.0))
+    largest = 0.0
+    m = np.eye(n)
+    for k in range(1, n + 1):
+        am = a @ m
+        ck = -am.trace() / k
+        diagonal_bound = float(np.abs(am.diagonal()).max()) + abs(ck)
+        largest = max(largest, row_sum * float(np.abs(m).max()), diagonal_bound)
+        m = am + ck * np.eye(n)
+    return largest
+
+
 def unblocked_reciprocal_sums(z):
     """sum_{j != i} 1/(z_i - z_j) for every i from the whole difference matrix.
 

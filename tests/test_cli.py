@@ -14,6 +14,7 @@ from sidigraph import (
     make_cycle,
     make_path,
 )
+from sidigraph import cli
 from sidigraph.cli import main
 from seeded_graphs import chained_blocks, collinear_hull_scc, dense_scc
 
@@ -475,6 +476,15 @@ def test_spectrum_parse_error_reports_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_spectrum_refuses_non_decimal_vertex_numbers(tmp_path, capsys):
+    # int() read '1_2' as 12 and '1_1' as 11: a 12-vertex spectrum, exit 0
+    path = tmp_path / "underscores.txt"
+    path.write_text("n 1_2\n0 1_1 +1\n", encoding="utf-8")
+    assert run_cli(capsys, "spectrum", str(path)) == (2, "", "error: line 1: bad vertex count '1_2'\n")
+    path.write_text("n 12\n0 1_1 +1\n", encoding="utf-8")
+    assert run_cli(capsys, "spectrum", str(path)) == (2, "", "error: line 2: tail and head must be integers\n")
+
+
 def test_spectrum_missing_file(capsys):
     code, _, err = run_cli(capsys, "spectrum", "/no/such/file.txt")
     assert code == 3
@@ -491,3 +501,24 @@ def test_unknown_command_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_cached_parser_answers_like_a_fresh_one(capsys):
+    # a good command, a usage error, --help, then the good command again
+    commands = [
+        ["cycle", "5", "+", "--energy"],
+        ["cycle", "5", "+"],
+        ["--help"],
+        ["cycle", "5", "+", "--energy"],
+    ]
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    cli._parser.cache_clear()
+    cached = [run_cli(capsys, *argv) for argv in commands]
+    assert cached == fresh
+    assert [code for code, _out, _err in cached] == [0, 2, 0, 0]
+    assert cli._parser.cache_info().misses == 1
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()

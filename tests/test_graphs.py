@@ -201,3 +201,28 @@ def test_edge_list_parsing_and_errors():
 
     with pytest.raises(EdgeListParseError):
         parse_edge_list("# only comments\n")
+
+
+@pytest.mark.parametrize("count", ["1_2", "+3", "-0", "-3", "\uff13", "\u0663", "3.0", "0x3"])
+def test_edge_list_vertex_count_is_ascii_decimal(count):
+    # int() takes '1_2', '+3', '-0' and non-ASCII digits; the format does not
+    with pytest.raises(EdgeListParseError) as exc:
+        parse_edge_list(f"n {count}\n0 1 +1\n")
+    assert exc.value.line_number == 1
+    assert str(exc.value) == f"line 1: bad vertex count {count!r}"
+
+
+@pytest.mark.parametrize(
+    "arc", ["0 1_1 +1", "+0 1 +1", "-0 1 +1", "0 -1 +1", "\u0660 1 +1", "0 \uff11 +1", "0 1.0 +1"]
+)
+def test_edge_list_tail_and_head_are_ascii_decimal(arc):
+    with pytest.raises(EdgeListParseError) as exc:
+        parse_edge_list(f"# header next\nn 12\n\n{arc}\n")
+    assert exc.value.line_number == 4
+    assert str(exc.value) == "line 4: tail and head must be integers"
+
+
+def test_edge_list_accepts_leading_zeros_and_keeps_count_messages():
+    assert parse_edge_list("n 02\n00 01 +1\n01 00 -1\n") == make_cycle(2, -1)
+    with pytest.raises(EdgeListParseError, match="^line 1: vertex count must be >= 1$"):
+        parse_edge_list("n 0\n")

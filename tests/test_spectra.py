@@ -30,6 +30,7 @@ from oracles import (
     cofactor_char_poly,
     exact_poly_value,
     float_trace_recursion,
+    largest_single_precision_bound,
     match_multisets,
     unblocked_reciprocal_sums,
 )
@@ -123,6 +124,52 @@ def test_char_poly_bit_identical_to_step_by_step_recursion(seed, n, n_arcs):
         return
     got = char_poly(a).coeffs
     assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+def test_char_poly_seeded_components_cover_both_precisions_and_a_refusal():
+    # the bit-identity test above must meet a recursion that stays in
+    # float32, one that goes over to float64 and finishes, and a refusal
+    kinds = set()
+    for seed, n, n_arcs in _seeded_components():
+        a = adjacency_matrix(dense_scc(seed, n, n_arcs))
+        try:
+            float_trace_recursion(a)
+        except OverflowError:
+            kinds.add("refused")
+            continue
+        kinds.add("float32" if largest_single_precision_bound(a) <= 2.0**24 else "float64")
+    assert kinds == {"float32", "float64", "refused"}
+
+
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [
+        # step 2 reaches r * max|M_1| = 4096 * 4096 = 2^24 exactly
+        ([[0, 4096], [4096, 0]], (-(2.0**24), -0.0, 1.0)),
+        # r * max|M_1| = 4097^2 > 2^24 is odd, so float32 would round it
+        ([[0, 4097], [4097, 0]], (-16785409.0, -0.0, 1.0)),
+        # step 2 keeps the product within 2^24 (r * max|M_1| = 16685025),
+        # but its diagonal update reaches 30309570, which float32 would round
+        (
+            [[-2394, 1453, -2186], [2605, 1781, 2019], [-2449, 1736, 0]],
+            (18213784361.0, -16907277.0, 613.0, 1.0),
+        ),
+    ],
+)
+def test_char_poly_exact_at_the_single_precision_limit(matrix, expected):
+    a = np.array(matrix, dtype=np.float64)
+    assert float_trace_recursion(a) == expected
+    assert np.array(char_poly(a).coeffs).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[0.1, 0.3], [0.3, 0.1]], [[0.1, 0.3, 0.0], [0.0, 0.1, 0.3], [0.3, 0.0, 0.1]]],
+)
+def test_char_poly_non_integer_matrix_matches_float64_recursion(matrix):
+    # float32 would round 0.1 and 0.3; a non-integer matrix keeps float64
+    got = char_poly(np.array(matrix)).coeffs
+    assert np.array(got).tobytes() == np.array(float_trace_recursion(matrix)).tobytes()
 
 
 def test_char_poly_rejects_non_square():
