@@ -7,11 +7,13 @@ hashable, so they can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 Arc = tuple[int, int, int]  # (tail, head, sign)
+
+# Largest vertex count parse_edge_list accepts; SignedDigraph itself has no cap.
+MAX_VERTICES = 1_000_000
 
 
 def check_sign(sign: int) -> int:
@@ -113,30 +115,24 @@ def adjacency_matrix(g: SignedDigraph) -> np.ndarray:
     return a
 
 
-def _induced(g: SignedDigraph, vertices: Iterable[int]) -> SignedDigraph:
-    keep = sorted(vertices)
-    remap = {v: i for i, v in enumerate(keep)}
-    arcs = tuple(
-        (remap[t], remap[h], s) for t, h, s in g.arcs if t in remap and h in remap
-    )
-    return SignedDigraph(len(keep), arcs)
-
-
 def strong_components(g: SignedDigraph) -> list[SignedDigraph]:
-    """Strongly connected components as induced subdigraphs.
+    """Strongly connected components as induced subdigraphs, in O(V + E).
 
-    Iterative Tarjan; components are returned sorted by their smallest
-    original vertex id, each with vertices relabeled 0..k-1 in the order
-    of their original ids.
+    Iterative Tarjan labels each vertex with its component.  One pass over
+    the vertices then numbers the components by their smallest original
+    vertex id, the order they are returned in, and relabels each one's
+    vertices 0..k-1 in the order of their original ids; one pass over the
+    arcs hands every arc inside a component to it.
     """
     n = g.n_vertices
     adj = g.out_lists()
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    # component of each vertex, -1 until assigned: a visited vertex with
+    # label -1 is on the stack
+    label = [-1] * n
     stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
+    counter = found = 0
 
     for root in range(n):
         if index[root] != -1:
@@ -148,7 +144,6 @@ def strong_components(g: SignedDigraph) -> list[SignedDigraph]:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
             descended = False
             for i in range(start, len(adj[v])):
                 w = adj[v][i]
@@ -157,26 +152,34 @@ def strong_components(g: SignedDigraph) -> list[SignedDigraph]:
                     work.append((w, 0))
                     descended = True
                     break
-                if on_stack[w]:
+                if label[w] == -1:
                     low[v] = min(low[v], index[w])
             if descended:
                 continue
             if low[v] == index[v]:
-                component = []
                 while True:
                     w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
+                    label[w] = found
                     if w == v:
                         break
-                components.append(component)
+                found += 1
             work.pop()
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
 
-    components.sort(key=min)
-    return [_induced(g, comp) for comp in components]
+    renumber: dict[int, int] = {}
+    sizes = [0] * found
+    position = [0] * n
+    for v in range(n):
+        label[v] = c = renumber.setdefault(label[v], len(renumber))
+        position[v] = sizes[c]
+        sizes[c] += 1
+    arcs: list[list[Arc]] = [[] for _ in sizes]
+    for tail, head, sign in g.arcs:
+        if label[tail] == label[head]:
+            arcs[label[tail]].append((position[tail], position[head], sign))
+    return [SignedDigraph(size, tuple(inside)) for size, inside in zip(sizes, arcs)]
 
 
 _SIGN_CHAR = {1: "+", -1: "-"}
@@ -261,8 +264,8 @@ def parse_edge_list(text: str) -> SignedDigraph:
 
     First significant line is ``n <vertex count>``; every following line is
     ``tail head sign`` with sign +1 or -1.  The vertex count, tail and head
-    are written in ASCII decimal digits only.  Blank lines and lines
-    starting with ``#`` are ignored.
+    are written in ASCII decimal digits only, and the count is at most
+    MAX_VERTICES.  Blank lines and lines starting with ``#`` are ignored.
     """
     n_vertices: int | None = None
     arcs: list[Arc] = []
@@ -280,6 +283,10 @@ def parse_edge_list(text: str) -> SignedDigraph:
             n_vertices = int(fields[1])
             if n_vertices < 1:
                 raise EdgeListParseError(line_number, "vertex count must be >= 1")
+            if n_vertices > MAX_VERTICES:
+                raise EdgeListParseError(
+                    line_number, f"vertex count {n_vertices} exceeds the supported maximum {MAX_VERTICES}"
+                )
             continue
         if len(fields) != 3:
             raise EdgeListParseError(line_number, "expected 'tail head sign'")

@@ -36,7 +36,11 @@ MIXED_SIGN = "mixed_sign"
 # 1000 (see the gap audit tests).
 TIE_TOL = 1e-9
 
-Row = tuple[int, int, int, int]  # (c1 length, c1 sign, c2 length, c2 sign)
+# Largest budget any ordering, chain or extremal query accepts: up to it
+# the smallest gap between distinct pair values, 1.6e-8 at 1000 (mixed
+# pairs, floating ones included), stays above TIE_TOL, so tie groups hold
+# only ties.
+MAX_BUDGET = 1000
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,8 @@ def _check_sign_class(sign_class: str) -> None:
 def _check_budget(budget_n: int) -> None:
     if budget_n < 4:
         raise ValueError(f"budget must be >= 4, got {budget_n}")
+    if budget_n > MAX_BUDGET:
+        raise ValueError(f"budget must be <= {MAX_BUDGET}, got {budget_n}")
 
 
 def _pair(l1: int, s1: int, l2: int, s2: int) -> CyclePair:
@@ -363,20 +369,15 @@ def predicted_same_sign_chain(budget_n: int) -> list[tuple[CyclePair, bool]]:
 
 
 def _mixed_pattern(budget_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and (all false) tie flags of the mixed block pattern, see predicted_mixed_chain."""
-    _check_budget(budget_n)
-    top = budget_n - (budget_n % 2)
-    rows: list[Row] = []
-    for total in range(top, 3, -2):
-        if total == 4:
-            rows.append((2, -1, 2, 1))
-        else:
-            # (C_m^-, C_{T-m}^+) in canonical order: the shorter cycle first
-            rows.extend(
-                (m, -1, total - m, 1) if 2 * m <= total else (total - m, 1, m, -1)
-                for m in range(2, total - 3, 2)
-            )
-    codes = _table(rows)
+    """Rows and (all false) tie flags of the mixed block pattern, see predicted_mixed_chain.
+
+    The rows are the floating-free mixed family by (total descending,
+    negative cycle length ascending).
+    """
+    codes = _family(budget_n, MIXED_SIGN)
+    codes = codes[~_is_floating(codes)]
+    negative_length = np.where(codes[:, 1] < 0, codes[:, 0], codes[:, 2])
+    codes = codes[np.lexsort((negative_length, -(codes[:, 0] + codes[:, 2])))]
     return codes, np.zeros(len(codes), dtype=bool)
 
 
@@ -504,9 +505,8 @@ def chain_details(sequence: OrderingSequence, first_n: int, tie_tol: float = TIE
     return details
 
 
-def _strict_descent_detail(chain: np.ndarray) -> str:
-    """Empty string when the values of the chain's rows drop strictly, else the first non-drop."""
-    values = _values(chain)
+def _strict_descent_detail(chain: np.ndarray, values: np.ndarray) -> str:
+    """Empty string when the chain's row values drop strictly, else the first non-drop."""
     stalls = np.flatnonzero(values[:-1] - values[1:] <= TIE_TOL)
     if not len(stalls):
         return ""
@@ -524,16 +524,15 @@ def check_exact_total_chain(n: int) -> str:
     """
     if n <= 4 or n % 2 != 0:
         raise ValueError(f"total must be even and > 4, got {n}")
-    chain = _table(
-        [(m, -1, n - m, -1) for m in range(2, _center(n) + 1, 2)]
-        + [(m, 1, n - m, 1) for m in range(_center(n), 1, -2)]
-    )
-    detail = _strict_descent_detail(chain)
+    family = _family_table(SAME_SIGN, np.array([n]))
+    values = _values(family)
+    negative = family[:, 1] < 0
+    chain = np.r_[np.flatnonzero(negative), np.flatnonzero(~negative)[::-1]]
+    detail = _strict_descent_detail(family[chain], values[chain])
     if detail:
         return detail
-    family = _family_table(SAME_SIGN, np.array([n]))
-    numeric = family[_by_value(family, _values(family))]
-    return "" if np.array_equal(numeric, chain) else "chain disagrees with numeric sort"
+    numeric = family[_by_value(family, values)]
+    return "" if np.array_equal(numeric, family[chain]) else "chain disagrees with numeric sort"
 
 
 def splice_gap(n: int) -> float:
@@ -563,8 +562,8 @@ def check_splice_inequalities(n: int) -> str:
         [(center, -1, n - 2 - center, -1), (2, 1, n - 2, 1), (center, 1, n - 2 - center, 1)],
         [(6, 1, n - 6, 1), (2, -1, n - 4, -1), (4, 1, n - 4, 1)],
     ]
-    for chain in chains:
-        detail = _strict_descent_detail(_table(chain))
+    for chain in map(_table, chains):
+        detail = _strict_descent_detail(chain, _values(chain))
         if detail:
             return detail
     if splice_gap(n) >= 2.0 * math.sqrt(3.0) - 2.0:
@@ -699,6 +698,7 @@ __all__ = [
     "SAME_SIGN",
     "MIXED_SIGN",
     "TIE_TOL",
+    "MAX_BUDGET",
     "OrderingEntry",
     "OrderingSequence",
     "FloatingPairReport",

@@ -18,11 +18,6 @@ from .spectra import Polynomial, eigenvalues, energy, iota_energy, poly_roots  #
 
 ORACLE_TOL = 1e-8
 
-# Largest n_max verify accepts: up to it the smallest gap between distinct
-# pair values, 1.6e-8 at 1000 (mixed pairs, floating ones included), stays
-# above orderings.TIE_TOL, so tie groups hold only ties.
-MAX_N_MAX = 1000
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -47,8 +42,8 @@ def run_verification(
     # earlier check has run.
     if grid_points < 2:
         raise ValueError("grid needs at least two points")
-    if n_max > MAX_N_MAX:
-        raise ValueError(f"n_max must be <= {MAX_N_MAX}, got {n_max}")
+    if n_max > orderings.MAX_BUDGET:
+        raise ValueError(f"n_max must be <= {orderings.MAX_BUDGET}, got {n_max}")
     results: list[CheckResult] = []
 
     # Each budget's ordering and prediction are the n_max ones cut to the pairs that fit.

@@ -8,9 +8,11 @@ exceptions are earlier forms of package code that the current forms must
 reproduce bit for bit: `float_trace_recursion`, the step-by-step form of
 `char_poly`; `unblocked_reciprocal_sums`, the whole-matrix form of the
 Aberth sums; `reference_chain_details`, the per-budget sweep of
-`chain_details`, which calls the package's per-budget check; and
+`chain_details`, which calls the package's per-budget check;
 `reference_csv`, `reference_text` and `reference_svg`, the row-by-row
-renderers, which read an OrderingSequence's columns.
+renderers, which read an OrderingSequence's columns; and
+`reference_strong_components`, which cuts each component out of the whole
+arc list as `strong_components` once did, on the reachability partition.
 """
 from __future__ import annotations
 
@@ -174,6 +176,21 @@ def reachability_components(n_vertices: int, arcs) -> list[frozenset[int]]:
         assigned |= comp
         components.append(comp)
     return sorted(components, key=min)
+
+
+def reference_strong_components(g) -> list[tuple[int, tuple]]:
+    """(vertex count, arcs) of each strong component, by smallest vertex id.
+
+    Each component keeps the arcs of g between its vertices, relabeled
+    0..k-1 in the order of their original ids; g.arcs is sorted, so the
+    arcs come out sorted.  Every component scans all arcs: O(V^3 + V E).
+    """
+    out = []
+    for component in reachability_components(g.n_vertices, g.arcs):
+        remap = {v: i for i, v in enumerate(sorted(component))}
+        arcs = tuple((remap[t], remap[h], s) for t, h, s in g.arcs if t in remap and h in remap)
+        out.append((len(remap), arcs))
+    return out
 
 
 def brute_force_sign_pairs(budget_n: int, mixed: bool) -> set[tuple[int, int, int, int]]:

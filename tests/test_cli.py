@@ -258,6 +258,29 @@ def test_verify_reports_bracket_defect_at_48(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["ordering", "1001", "--same-sign"],
+        ["ordering", "1001", "--mixed", "--format", "csv"],
+        ["extremal", "1001"],
+        ["floating-pair", "1002"],
+    ],
+)
+def test_ordering_commands_refuse_budgets_above_1000(capsys, argv):
+    assert run_cli(capsys, *argv) == (2, "", f"error: budget must be <= 1000, got {argv[1]}\n")
+
+
+def test_ordering_commands_take_budget_1000(tmp_path, capsys):
+    out = tmp_path / "ordering.csv"
+    assert run_cli(capsys, "ordering", "1000", "--same-sign", "--format", "csv", "--out", str(out)) == (0, "", "")
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + sum(2 * (t // 4) for t in range(4, 1001, 2))
+    code, text, _ = run_cli(capsys, "extremal", "1000")
+    assert (code, text.split()[:2]) == (0, ["max", "(C2-,C998-)"])
+    code, text, _ = run_cli(capsys, "floating-pair", "1000")
+    assert code == 0 and text.endswith("bracket rule: not stated for this n\n")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         # the cap names the argument (it used to print 513 for any n_max)
@@ -483,6 +506,14 @@ def test_spectrum_refuses_non_decimal_vertex_numbers(tmp_path, capsys):
     assert run_cli(capsys, "spectrum", str(path)) == (2, "", "error: line 1: bad vertex count '1_2'\n")
     path.write_text("n 12\n0 1_1 +1\n", encoding="utf-8")
     assert run_cli(capsys, "spectrum", str(path)) == (2, "", "error: line 2: tail and head must be integers\n")
+
+
+def test_spectrum_refuses_a_vertex_count_above_the_cap(tmp_path, capsys):
+    # n 1000000 alone ran for 13 s; 10^9 exhausted memory before any output
+    path = tmp_path / "huge.txt"
+    path.write_text("n 1000000000\n0 1 +1\n", encoding="utf-8")
+    message = "error: line 1: vertex count 1000000000 exceeds the supported maximum 1000000\n"
+    assert run_cli(capsys, "spectrum", str(path)) == (2, "", message)
 
 
 def test_spectrum_missing_file(capsys):

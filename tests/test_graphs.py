@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from sidigraph import (
     parse_edge_list,
     strong_components,
 )
-from oracles import reachability_components
+from sidigraph.graphs import MAX_VERTICES
+from oracles import reachability_components, reference_strong_components
 
 
 def test_make_cycle_small():
@@ -134,6 +137,78 @@ def test_strong_components_with_tail_path():
     assert [len(e) for e in expected] == [3, 1, 1]
 
 
+def _shuffled(rng: random.Random, n: int, pairs) -> SignedDigraph:
+    """The digraph on these (tail, head) pairs, vertex ids permuted, random signs."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return SignedDigraph(n, tuple((ids[t], ids[h], rng.choice((1, -1))) for t, h in sorted(pairs)))
+
+
+def _cycle(vertices) -> set[tuple[int, int]]:
+    return {(v, vertices[(i + 1) % len(vertices)]) for i, v in enumerate(vertices)}
+
+
+def _many_component_graph(kind: str, seed: int) -> SignedDigraph:
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    pairs: set[tuple[int, int]] = set()
+    if kind == "dag":  # every vertex its own component
+        pairs = {(t, h) for t in range(n) for h in range(t + 1, n) if rng.random() < 0.15}
+    elif kind == "isolated":  # a few disjoint cycles among vertices without arcs
+        free = list(range(n))
+        rng.shuffle(free)
+        while len(free) >= 2 and rng.random() < 0.7:
+            length = rng.randint(2, min(len(free), 6))
+            pairs |= _cycle(free[:length])
+            free = free[length:]
+    elif kind == "nested":  # cycles that run through vertices of earlier ones, and tails
+        for _ in range(rng.randint(1, 6) if n >= 2 else 0):
+            pairs |= _cycle(rng.sample(range(n), rng.randint(2, n)))
+        pairs |= {(t, h) for t in range(n) for h in range(t + 1, n) if rng.random() < 0.03}
+    elif kind == "blocks":  # strongly connected blocks in a row, arcs only forward
+        start = 0
+        while start < n:
+            size = min(rng.randint(1, 7), n - start)
+            block = list(range(start, start + size))
+            if size > 1:
+                pairs |= _cycle(block)
+                pairs |= {(t, h) for t in block for h in block if t != h and rng.random() < 0.2}
+            pairs |= {(t, h) for t in block for h in range(start + size, n) if rng.random() < 0.05}
+            start += size
+    else:  # sparse random digraph
+        pairs = {(t, h) for t in range(n) for h in range(n) if t != h and rng.random() < 1.5 / n}
+    return _shuffled(rng, n, pairs)
+
+
+_KINDS = ("dag", "isolated", "nested", "blocks", "sparse")
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_strong_components_equal_the_reference_arc_for_arc(kind):
+    for seed in range(60):
+        g = _many_component_graph(kind, seed)
+        comps = strong_components(g)
+        assert [(c.n_vertices, c.arcs) for c in comps] == reference_strong_components(g), seed
+        assert sum(c.n_vertices for c in comps) == g.n_vertices
+
+
+def test_many_component_graphs_mix_component_sizes():
+    # dags are all singletons; every other kind has singletons and larger components
+    for kind in _KINDS:
+        sizes = [c.n_vertices for seed in range(60) for c in strong_components(_many_component_graph(kind, seed))]
+        assert (set(sizes) == {1}) if kind == "dag" else (1 in sizes and max(sizes) > 1), kind
+
+
+def test_strong_components_of_a_long_path_take_linear_time():
+    # each component used to scan every arc of the graph: 4-5 s on a 2-vCPU host
+    g = make_path(10000)
+    start = time.perf_counter()
+    comps = strong_components(g)
+    assert time.perf_counter() - start < 2.0
+    assert len(comps) == 10000
+    assert all(c.n_vertices == 1 and c.arcs == () for c in comps)
+
+
 @pytest.mark.parametrize("n", range(2, 16))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cycle_constructor_invariants(n, sign):
@@ -226,3 +301,15 @@ def test_edge_list_accepts_leading_zeros_and_keeps_count_messages():
     assert parse_edge_list("n 02\n00 01 +1\n01 00 -1\n") == make_cycle(2, -1)
     with pytest.raises(EdgeListParseError, match="^line 1: vertex count must be >= 1$"):
         parse_edge_list("n 0\n")
+
+
+def test_edge_list_vertex_count_cap():
+    assert MAX_VERTICES == 1_000_000
+    g = parse_edge_list("n 1000000\n0 999999 -1\n")
+    assert (g.n_vertices, g.arcs) == (1_000_000, ((0, 999999, -1),))
+    for count in ("1000001", "01000001", "1000000000"):
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(f"# header next\n\nn {count}\n0 1 +1\n")
+        assert str(exc.value) == f"line 3: vertex count {int(count)} exceeds the supported maximum 1000000"
+    # the cap guards outside input only; the constructor takes any count
+    assert SignedDigraph(MAX_VERTICES + 1, ()).n_vertices == 1_000_001

@@ -278,9 +278,9 @@ def test_gap_audit():
 
 def test_gap_audit_at_the_verify_cap():
     # distinct values at a smaller budget are distinct here, so their gaps
-    # are no smaller: up to verify's cap every tie group holds only ties
+    # are no smaller: up to the budget cap every tie group holds only ties
     for sign_class, exclude in ((SAME_SIGN, False), (MIXED_SIGN, False), (MIXED_SIGN, True)):
-        seq = ordered_sequence(verification.MAX_N_MAX, sign_class, exclude_floating=exclude)
+        seq = ordered_sequence(orderings.MAX_BUDGET, sign_class, exclude_floating=exclude)
         starts = np.flatnonzero(np.diff(seq.tie_groups, prepend=0))
         highest = np.maximum.reduceat(seq.values, starts)
         lowest = np.minimum.reduceat(seq.values, starts)
@@ -313,6 +313,14 @@ def test_predicted_chain_matches_written_example():
         "(C2-,C4+)",
         "(C2-,C2+)",
     ]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 11, 50, 400])
+def test_mixed_prediction_is_the_written_block_rule(n):
+    # totals descend to 6, the negative cycle growing from 2 to T - 4
+    # inside total T; (C2-,C2+) closes the chain
+    expected = [P(m, -1, total - m, 1) for total in range(n - n % 2, 5, -2) for m in range(2, total - 3, 2)]
+    assert predicted_mixed_chain(n) == expected + [P(2, -1, 2, 1)]
 
 
 def test_predicted_chains_refuse_budget_3():
@@ -454,6 +462,23 @@ def test_exact_total_chain(n):
     assert not detail, detail
 
 
+@pytest.mark.parametrize("n", [6, 8, 10, 22, 100, 1000])
+def test_exact_total_chain_runs_in_through_minus_and_out_through_plus(monkeypatch, n):
+    seen = []
+    descent = orderings._strict_descent_detail
+
+    def recorded(chain, values):
+        seen.append((chain.tolist(), values.tolist()))
+        return descent(chain, values)
+
+    monkeypatch.setattr(orderings, "_strict_descent_detail", recorded)
+    assert check_exact_total_chain(n) == ""
+    center = n // 2 if (n // 2) % 2 == 0 else n // 2 - 1
+    expected = [[m, -1, n - m, -1] for m in range(2, center + 1, 2)]
+    expected += [[m, 1, n - m, 1] for m in range(center, 1, -2)]
+    assert seen == [(expected, [pair_iota(P(*row)) for row in expected])]
+
+
 def test_exact_total_chain_examples():
     # n=8 chain: (C2-,C6-) > (C4-,C4-) > (C4+,C4+) > (C2+,C6+)
     values = [
@@ -512,6 +537,33 @@ def test_floating_pair_examples():
     report = locate_floating_pair(40)
     assert report.above.pair == P(10, -1, 28, 1)
     assert report.below.pair == P(12, -1, 26, 1)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda n: ordered_sequence(n, SAME_SIGN),
+        lambda n: ordered_sequence(n, MIXED_SIGN, exclude_floating=True),
+        lambda n: enumerate_pairs(n, MIXED_SIGN),
+        predicted_same_sign_chain,
+        predicted_mixed_chain,
+        extremal_pairs,
+        orderings.extremal_details,
+    ],
+)
+def test_budget_cap_refuses_1001(query):
+    # above the cap the gap audit no longer vouches for TIE_TOL
+    assert orderings.MAX_BUDGET == 1000
+    with pytest.raises(ValueError, match=r"^budget must be <= 1000, got 1001$"):
+        query(1001)
+
+
+def test_budget_cap_holds_for_the_floating_pair_and_verify():
+    with pytest.raises(ValueError, match=r"^budget must be <= 1000, got 1002$"):
+        locate_floating_pair(1002)
+    assert locate_floating_pair(1000).entry.pair == P(2, 1, 998, -1)
+    with pytest.raises(ValueError, match=r"^n_max must be <= 1000, got 1001$"):
+        verification.run_verification(1001)
 
 
 def test_floating_pair_validation():
