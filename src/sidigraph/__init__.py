@@ -59,7 +59,6 @@ from .spectra import (
     poly_roots,
 )
 from .trig import (
-    MonotoneReport,
     certify_monotone,
     f_cot_cot,
     f_csc_cot,

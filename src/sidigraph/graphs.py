@@ -259,6 +259,19 @@ def _is_decimal(field: str) -> bool:
     return field.isascii() and field.isdigit()
 
 
+def _decimal(field: str) -> tuple[int, str]:
+    """Value and digits, without leading zeros, of an ASCII decimal field.
+
+    A field with more digits than MAX_VERTICES is valued MAX_VERTICES + 1,
+    which the parser refuses as a count, tail or head alike, so int() never
+    meets its 4300-digit limit.
+    """
+    digits = field.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_VERTICES)):
+        return MAX_VERTICES + 1, digits
+    return int(digits), digits
+
+
 def parse_edge_list(text: str) -> SignedDigraph:
     """Parse the edge-list text format.
 
@@ -280,23 +293,23 @@ def parse_edge_list(text: str) -> SignedDigraph:
                 raise EdgeListParseError(line_number, "expected header 'n <vertex count>'")
             if not _is_decimal(fields[1]):
                 raise EdgeListParseError(line_number, f"bad vertex count {fields[1]!r}")
-            n_vertices = int(fields[1])
+            n_vertices, digits = _decimal(fields[1])
             if n_vertices < 1:
                 raise EdgeListParseError(line_number, "vertex count must be >= 1")
             if n_vertices > MAX_VERTICES:
                 raise EdgeListParseError(
-                    line_number, f"vertex count {n_vertices} exceeds the supported maximum {MAX_VERTICES}"
+                    line_number, f"vertex count {digits} exceeds the supported maximum {MAX_VERTICES}"
                 )
             continue
         if len(fields) != 3:
             raise EdgeListParseError(line_number, "expected 'tail head sign'")
         if not (_is_decimal(fields[0]) and _is_decimal(fields[1])):
             raise EdgeListParseError(line_number, "tail and head must be integers")
-        tail, head = int(fields[0]), int(fields[1])
+        (tail, tail_digits), (head, head_digits) = _decimal(fields[0]), _decimal(fields[1])
         if fields[2] not in ("+1", "-1"):
             raise EdgeListParseError(line_number, f"sign must be +1 or -1, got {fields[2]!r}")
         if not (0 <= tail < n_vertices and 0 <= head < n_vertices):
-            raise EdgeListParseError(line_number, f"arc ({tail}, {head}) out of vertex range")
+            raise EdgeListParseError(line_number, f"arc ({tail_digits}, {head_digits}) out of vertex range")
         if tail == head:
             raise EdgeListParseError(line_number, f"self-loop at vertex {tail} not allowed")
         if (tail, head) in seen:

@@ -8,17 +8,18 @@ iota-energy values of two-cycle pairs with a fixed vertex total n:
     csc_cot(x)  = 2*csc(pi/x) + 2*cot(pi/(n-x))    negative + positive
 
 plus the auxiliary (pi/x^2)*csc(pi/x)^2 that controls their derivatives.
-certify_monotone samples a claimed monotone stretch on a uniform grid and
-checks every adjacent difference, with a small negative slack to absorb
-rounding near flat points.
+certify_monotone samples a claimed monotone stretch on a uniform grid of
+at most MAX_GRID_POINTS points and checks every adjacent difference, with a
+small negative slack to absorb rounding near flat points.  It returns its
+failure detail, "" on a pass.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 ADJACENT_SLACK = 1e-12
+# A grid peaks at about 32 bytes a point (four float64 arrays), so 32 MB here.
+MAX_GRID_POINTS = 1_000_000
 
 
 def _check_pair_domain(x, n) -> None:
@@ -63,15 +64,12 @@ FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
-    function_id: str
-    n: float | None
-    interval: tuple[float, float]
-    grid_step: float
-    direction: str
-    worst_adjacent_difference: float
-    passed: bool
+def check_grid_points(grid_points: int) -> None:
+    """Refuse a grid size certify_monotone cannot use."""
+    if grid_points < 2:
+        raise ValueError("grid needs at least two points")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid needs at most {MAX_GRID_POINTS} points, got {grid_points}")
 
 
 def certify_monotone(
@@ -80,18 +78,18 @@ def certify_monotone(
     interval: tuple[float, float],
     direction: str,
     grid_points: int = 10000,
-) -> MonotoneReport:
+) -> str:
     """Check a claimed monotone direction on a uniform grid.
 
-    Failures are reported in the result, never raised.  `direction` is
+    Returns "" on a pass, else the worst adjacent difference against the
+    claimed direction; failures are never raised.  `direction` is
     'increasing' or 'decreasing'; `n` is ignored by inv_sq_csc.
     """
     if function_id not in FUNCTIONS:
         raise ValueError(f"unknown function id {function_id!r}")
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be increasing or decreasing, got {direction!r}")
-    if grid_points < 2:
-        raise ValueError("grid needs at least two points")
+    check_grid_points(grid_points)
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
@@ -104,15 +102,7 @@ def certify_monotone(
     else:
         worst = float(diffs.max())
         passed = worst <= ADJACENT_SLACK
-    return MonotoneReport(
-        function_id=function_id,
-        n=n,
-        interval=(lo, hi),
-        grid_step=(hi - lo) / (grid_points - 1),
-        direction=direction,
-        worst_adjacent_difference=worst,
-        passed=passed,
-    )
+    return "" if passed else f"worst adjacent difference {worst:.3g}"
 
 
 def monotonicity_claims(n: int) -> list[tuple[str, tuple[float, float], str]]:

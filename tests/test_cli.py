@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sidigraph import (
+    ComplexSpectrum,
     SignedDigraph,
     adjacency_matrix,
     format_edge_list,
@@ -14,7 +15,7 @@ from sidigraph import (
     make_cycle,
     make_path,
 )
-from sidigraph import cli
+from sidigraph import cli, trig, verification
 from sidigraph.cli import main
 from seeded_graphs import chained_blocks, collinear_hull_scc, dense_scc
 
@@ -257,6 +258,35 @@ def test_verify_reports_bracket_defect_at_48(capsys):
     assert "floating-pair bracket n=48" in failing[0]
 
 
+def test_verify_prints_failing_monotone_and_cycle_details(capsys, monkeypatch):
+    # no check fails on working code, so break one claim and one oracle
+    claims = trig.monotonicity_claims
+
+    def flipped(n):
+        listed = claims(n)
+        function_id, interval, direction = listed[2]
+        listed[2] = (function_id, interval, {"increasing": "decreasing", "decreasing": "increasing"}[direction])
+        return listed
+
+    roots = verification.poly_roots
+
+    def scaled(p):
+        spectrum = roots(p)
+        return ComplexSpectrum(tuple(z * 1.001 for z in spectrum.values)) if p.degree == 5 else spectrum
+
+    monkeypatch.setattr(trig, "monotonicity_claims", flipped)
+    monkeypatch.setattr(verification, "poly_roots", scaled)
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "8", "--grid-points", "50")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL monotone csc_csc [2,3] n=6: worst adjacent difference -0.0111",
+        "FAIL monotone csc_csc [2,4] n=8: worst adjacent difference -0.0237",
+        "FAIL cycle closed form vs spectrum n=5 sign=+: difference 0.00324",
+        "FAIL cycle closed form vs spectrum n=5 sign=-: difference 0.00324",
+    ]
+    assert "30/34 checks passed" in out.splitlines()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -286,6 +316,7 @@ def test_ordering_commands_take_budget_1000(tmp_path, capsys):
         # the cap names the argument (it used to print 513 for any n_max)
         (["verify", "--n-max", "1001"], "n_max must be <= 1000, got 1001"),
         (["verify", "--n-max", "200", "--grid-points", "1"], "grid needs at least two points"),
+        (["verify", "--n-max", "200", "--grid-points", "1000001"], "grid needs at most 1000000 points, got 1000001"),
     ],
 )
 def test_verify_refuses_unsupported_arguments_before_any_check(capsys, argv, message):
@@ -514,6 +545,20 @@ def test_spectrum_refuses_a_vertex_count_above_the_cap(tmp_path, capsys):
     path.write_text("n 1000000000\n0 1 +1\n", encoding="utf-8")
     message = "error: line 1: vertex count 1000000000 exceeds the supported maximum 1000000\n"
     assert run_cli(capsys, "spectrum", str(path)) == (2, "", message)
+
+
+def test_spectrum_refuses_numbers_beyond_the_int_digit_limit(tmp_path, capsys):
+    # int() refuses more than 4300 digits: this exited 2 naming an interpreter
+    # setting and no line
+    path = tmp_path / "long.txt"
+    nines = "9" * 5000
+    path.write_text(f"n {nines}\n", encoding="utf-8")
+    message = f"error: line 1: vertex count {nines} exceeds the supported maximum 1000000\n"
+    assert run_cli(capsys, "spectrum", str(path)) == (2, "", message)
+    path.write_text(f"n 3\n0{nines} 1 +1\n", encoding="utf-8")
+    assert run_cli(capsys, "spectrum", str(path)) == (2, "", f"error: line 2: arc ({nines}, 1) out of vertex range\n")
+    path.write_text(f"n 3\n1 000{nines} +1\n", encoding="utf-8")
+    assert run_cli(capsys, "spectrum", str(path)) == (2, "", f"error: line 2: arc (1, {nines}) out of vertex range\n")
 
 
 def test_spectrum_missing_file(capsys):

@@ -313,3 +313,27 @@ def test_edge_list_vertex_count_cap():
         assert str(exc.value) == f"line 3: vertex count {int(count)} exceeds the supported maximum 1000000"
     # the cap guards outside input only; the constructor takes any count
     assert SignedDigraph(MAX_VERTICES + 1, ()).n_vertices == 1_000_001
+
+
+@pytest.mark.parametrize("length", [8, 4298, 4299, 5000])
+def test_edge_list_digit_strings_of_any_length(length):
+    # int() refuses strings of more than 4300 digits, leading zeros included;
+    # the parser answers as if it had no limit and prints the digits without
+    # leading zeros, as int() does where it can read the field
+    nines, ones = "9" * length, "1" * length
+    if length + 2 <= 4300:
+        assert (nines, ones) == (str(int("00" + nines)), str(int("0" + ones)))
+    cases = [
+        (f"n 00{nines}\n", f"line 1: vertex count {nines} exceeds the supported maximum 1000000"),
+        (f"n 3\n0{ones} 0 +1\n", f"line 2: arc ({ones}, 0) out of vertex range"),
+        (f"n 3\n0 {nines} -1\n", f"line 2: arc (0, {nines}) out of vertex range"),
+    ]
+    for text, message in cases:
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+    zeros = "0" * length
+    with pytest.raises(EdgeListParseError, match="^line 1: vertex count must be >= 1$"):
+        parse_edge_list(f"n {zeros}\n")
+    # leading zeros alone never make a vertex number too long
+    assert parse_edge_list(f"n {zeros}2\n{zeros}1 0 -1\n0 {zeros}1 +1\n") == make_cycle(2, -1)

@@ -13,6 +13,7 @@ from sidigraph import (
     monotonicity_claims,
     pair_iota,
 )
+from sidigraph.trig import MAX_GRID_POINTS
 
 
 def test_point_values():
@@ -58,16 +59,13 @@ def test_csc_csc_dominates_cot_cot(n):
 
 
 def test_certify_monotone_reports():
-    report = certify_monotone("csc_csc", 30, (2, 15), "decreasing", 10000)
-    assert report.passed and report.direction == "decreasing"
-    report = certify_monotone("cot_cot", 30, (2, 15), "increasing", 10000)
-    assert report.passed
-    report = certify_monotone("inv_sq_csc", None, (2, 100), "decreasing", 10000)
-    assert report.passed
+    assert certify_monotone("csc_csc", 30, (2, 15), "decreasing", 10000) == ""
+    assert certify_monotone("cot_cot", 30, (2, 15), "increasing", 10000) == ""
+    assert certify_monotone("inv_sq_csc", None, (2, 100), "decreasing", 10000) == ""
     # a wrong claim is reported as failed, not raised
-    report = certify_monotone("csc_csc", 30, (2, 15), "increasing", 1000)
-    assert not report.passed
-    assert report.worst_adjacent_difference < 0
+    detail = certify_monotone("csc_csc", 30, (2, 15), "increasing", 1000)
+    assert detail.startswith("worst adjacent difference -")
+    assert float(detail.split()[-1]) < 0
 
 
 def test_certify_monotone_validation():
@@ -77,13 +75,24 @@ def test_certify_monotone_validation():
         certify_monotone("csc_csc", 10, (2, 5), "sideways")
     with pytest.raises(ValueError):
         certify_monotone("csc_csc", 10, (5, 2), "decreasing")
+    with pytest.raises(ValueError, match="^grid needs at least two points$"):
+        certify_monotone("csc_csc", 10, (2, 5), "decreasing", 1)
+
+
+def test_certify_monotone_grid_cap():
+    # about 32 bytes a point at peak: the cap keeps one grid near 32 MB
+    assert MAX_GRID_POINTS == 1_000_000
+    assert certify_monotone("csc_cot", 40, (2, 38), "decreasing", MAX_GRID_POINTS) == ""
+    # refused before any grid is built
+    with pytest.raises(ValueError, match="^grid needs at most 1000000 points, got 1000001$"):
+        certify_monotone("csc_cot", 40, (2, 38), "decreasing", MAX_GRID_POINTS + 1)
 
 
 @pytest.mark.parametrize("n", range(6, 102, 2))
 def test_standard_claims_certify(n):
     for function_id, interval, direction in monotonicity_claims(n):
-        report = certify_monotone(function_id, n, interval, direction, 2000)
-        assert report.passed, (function_id, interval, direction, report.worst_adjacent_difference)
+        detail = certify_monotone(function_id, n, interval, direction, 2000)
+        assert detail == "", (function_id, interval, direction, detail)
 
 
 @pytest.mark.parametrize("n", range(6, 31, 2))
