@@ -17,7 +17,8 @@ vertices, a trace recursion whose partial sums may pass 2^53, two root
 approximations that coincide or one that is not finite, an iteration that
 does not reach the evaluation noise floor, a residual above
 1e-10 * max(1, sum_k |c_k| |z|^k), and a root that is not finite or lies
-outside the Gershgorin disc.
+outside the Gershgorin disc.  `cycle_root_radii` proves approximations of
+the roots of x^n - sign by disjoint inclusion discs, with no root search.
 """
 from __future__ import annotations
 
@@ -94,7 +95,8 @@ class RootFindingError(RuntimeError):
     residuals is empty and iterations 0 when eigenvalues rejects a root
     outside the Gershgorin bound; residuals is empty when two root
     approximations coincide or one is not finite, and roots holds the
-    approximations.
+    approximations; residuals is empty and iterations 0 when
+    cycle_root_radii cannot prove its approximations, which roots holds.
     """
 
     def __init__(self, message: str, roots: tuple[complex, ...], residuals: tuple[float, ...], iterations: int):
@@ -379,6 +381,103 @@ def cycle_eigenvalues(length: int, sign: int) -> ComplexSpectrum:
     else:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return ComplexSpectrum(tuple(cmath.rect(1.0, a) for a in angles))
+
+
+def _power(z: np.ndarray, n: int) -> np.ndarray:
+    """z**n for n >= 1 by binary powering, one complex product per step."""
+    result = None
+    while True:
+        if n & 1:
+            result = z if result is None else result * z
+        n >>= 1
+        if not n:
+            return result
+        z = z * z
+
+
+def cycle_root_radii(n: int, sign: int, approximations: ComplexSpectrum | Iterable[complex]) -> np.ndarray:
+    """Proven radii of disjoint inclusion discs for the roots of x^n - sign.
+
+    The disc |z - z_k| <= r_k around the k-th approximation holds one root,
+    and the n discs hold n different roots, so the energy and the iota
+    energy of the exact roots lie within sum(r) of those of the
+    approximations.  Nothing about how the z_k were computed is trusted; a
+    RootFindingError, with the approximations as its roots, names the step
+    that fails.  With f = x^n - sign and u = 2^-53:
+
+    1. A disc per approximation.  f'/f = sum_j 1/(z - omega_j) puts a root
+       within n|f(z)| / |f'(z)| = |f(z)| / |z|^(n-1) of any z.
+    2. A rigorous bound on that radius.  Every z_k must have |z_k|^2 within
+       1/n of 1, so every power up to z^n has modulus in [1/2, 2].  P = z^n
+       is taken by binary powering; one complex product is off by at most
+       sqrt(5) u |a||b| (Brent, Percival & Zimmermann 2007), and 2.25 u
+       also covers partial products that underflow, so under any addition
+       chain |P - z^n| <= g |z|^n with g = (1 + 2.25u)^(n-1) - 1 <=
+       (n-1) 2.25u / (1 - (n-1) 2.25u).  Then |f(z)| <= |P - sign| + g|z|^n
+       and |z|^n >= |P| / (1 + g) give
+       r = |z| (|P - sign| (1 + g) / |P| + g).  |P - sign| is bounded by
+       the sum of its two parts, and each modulus |w| >= 1/2 by the square
+       root of a rounded x^2 + y^2, within 2.5u of it; with the other
+       roundings of the formula that is less than 24u in all, which a last
+       factor 1 + 32u covers.
+    3. One root per disc, each root once.  The roots are at least
+       2 sin(pi/n) >= 4/n apart, so a disc of radius below 1/(4n) holds at
+       most one, and by step 1 at least one.  Two such discs share no root
+       when their centres are more than 1/(2n) apart.  The z_k are bucketed
+       into cells of side 1/n by floor(x n) and floor(y n); when no other
+       z lies in a point's 3 x 3 block of cells, every pair differs by more
+       than 1/n, less a rounding of x n, in one coordinate.  That is a sort
+       and four searches, not all pairs.
+    """
+    if n < 2 or sign not in (1, -1):
+        raise ValueError(f"need n >= 2 and sign +1 or -1, got n={n}, sign={sign!r}")
+    z = np.asarray(_spectrum_values(approximations), dtype=np.complex128)
+    if len(z) != n:
+        raise ValueError(f"need the {n} approximations of the roots of x^n - sign, got {len(z)}")
+
+    def refuse(message: str) -> RootFindingError:
+        return RootFindingError(message, roots=tuple(z.tolist()), residuals=(), iterations=0)
+
+    x, y = z.real, z.imag
+    # comparisons of abs are false for NaN, and no square of a kept value overflows
+    boxed = np.flatnonzero(~((np.abs(x) <= 2.0) & (np.abs(y) <= 2.0)))
+    if len(boxed):
+        k = boxed[0]
+        raise refuse(f"root approximation {k} = {complex(z[k])} is not finite or lies off the unit circle")
+    modulus_sq = x * x + y * y
+    off = np.flatnonzero(np.abs(modulus_sq - 1.0) > 1.0 / n)
+    if len(off):
+        k = off[0]
+        raise refuse(f"root approximation {k} = {complex(z[k])} lies off the unit circle")
+
+    u = 2.0**-53
+    chain = (n - 1) * 2.25 * u
+    g = chain / (1.0 - chain)
+    p = _power(z, n)
+    residual = np.abs(p.real - sign) + np.abs(p.imag)
+    radii = np.sqrt(modulus_sq) * (residual * (1.0 + g) / np.sqrt(p.real * p.real + p.imag * p.imag) + g)
+    radii *= 1.0 + 32.0 * u
+    wide = int(np.argmax(radii))
+    if not radii[wide] * (4 * n) < 1.0:
+        raise refuse(f"root disc {wide} has radius {radii[wide]:.3g}, not below 1/(4n) = {0.25 / n:.3g}")
+
+    # cells numbered row by row over [-2n, 2n]^2, so that a neighbour's number is an offset
+    width = 4 * n + 3
+    cells = (np.floor(x * n).astype(np.int64) + 2 * n + 1) * width + np.floor(y * n).astype(np.int64) + 2 * n + 1
+    order = np.argsort(cells, kind="stable")
+    ranked = cells[order]
+    shared = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if len(shared):
+        i, j = order[shared[0]], order[shared[0] + 1]
+        raise refuse(f"root discs not isolated: approximations {i} and {j} share a cell of side 1/{n}")
+    # each neighbouring pair is found from one side: up, lower right, right, upper right
+    for offset in (1, width - 1, width, width + 1):
+        found = np.minimum(np.searchsorted(ranked, cells + offset), n - 1)
+        near = np.flatnonzero(ranked[found] == cells + offset)
+        if len(near):
+            i, j = near[0], order[found[near[0]]]
+            raise refuse(f"root discs not isolated: approximations {i} and {j} lie in neighbouring cells of side 1/{n}")
+    return radii
 
 
 def _numeric_eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:

@@ -2,19 +2,28 @@
 
 Runs every applicable consistency check for budgets up to n_max: ordering
 patterns against the numeric sort, block splice inequalities, floating-pair
-brackets, grid monotonicity, the cycle closed forms against the Aberth roots
-of x^n - sign, and extremal identification.  Each check is a name and its
-failure detail, "" on a pass; failures are collected, not raised.
+brackets, grid monotonicity, the cycle closed forms against the roots of
+x^n - sign, proven by inclusion discs around their analytic approximations,
+and extremal identification.  Each check is a name and its failure detail,
+"" on a pass; failures are collected, not raised.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import orderings, trig
 from .cycle_formulas import energy_cycle, iota_energy_cycle
 # eigenvalues is unused here but stays importable: perfbench's tracer test
 # looks it up on this module by name.
-from .spectra import Polynomial, eigenvalues, energy, iota_energy, poly_roots  # noqa: F401
+from .spectra import (  # noqa: F401
+    RootFindingError,
+    cycle_eigenvalues,
+    cycle_root_radii,
+    eigenvalues,
+    energy,
+    iota_energy,
+)
 
 ORACLE_TOL = 1e-8
 
@@ -70,18 +79,29 @@ def run_verification(
             )
     for n in range(2, n_max + 1):
         for sign in (1, -1):
-            # A directed n-cycle's only linear subdigraph is the cycle itself,
-            # so det(xI - A) = x^n - sign (Harary 1962).
-            spectrum = poly_roots(Polynomial((-sign,) + (0,) * (n - 1) + (1,)))
-            d_energy = abs(energy_cycle(n, sign) - energy(spectrum))
-            d_iota = abs(iota_energy_cycle(n, sign) - iota_energy(spectrum))
-            worst = max(d_energy, d_iota)
-            results.append(
-                CheckResult(
-                    f"cycle closed form vs spectrum n={n} sign={'+' if sign > 0 else '-'}",
-                    "" if worst <= ORACLE_TOL else f"difference {worst:.3g}",
-                )
-            )
+            name = f"cycle closed form vs spectrum n={n} sign={'+' if sign > 0 else '-'}"
+            results.append(CheckResult(name, _cycle_detail(n, sign)))
     for n, detail in enumerate(orderings.extremal_details(n_max), start=4):
         results.append(CheckResult(f"extremal pairs n={n}", detail))
     return results
+
+
+def _cycle_detail(n: int, sign: int) -> str:
+    """The cycle check's detail: "" when both closed forms of C_n^sign lie
+    within ORACLE_TOL of its spectrum.
+
+    A directed n-cycle's only linear subdigraph is the cycle itself, so its
+    spectrum is the roots of det(xI - A) = x^n - sign (Harary 1962).  They
+    lie one each in the proven discs around the analytic approximations,
+    so |Re| and |Im| of each root differ from the approximation's by at
+    most its radius; fsum rounds each energy once, by at most half an ulp.
+    """
+    approximations = cycle_eigenvalues(n, sign)
+    try:
+        radii = cycle_root_radii(n, sign, approximations)
+    except RootFindingError as error:
+        return str(error)
+    sums = energy(approximations), iota_energy(approximations)
+    worst = max(abs(energy_cycle(n, sign) - sums[0]), abs(iota_energy_cycle(n, sign) - sums[1]))
+    bound = math.fsum(radii) + math.ulp(max(sums))
+    return "" if worst + bound <= ORACLE_TOL else f"difference {worst:.3g} + root bound {bound:.3g}"

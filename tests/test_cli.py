@@ -268,21 +268,22 @@ def test_verify_prints_failing_monotone_and_cycle_details(capsys, monkeypatch):
         listed[2] = (function_id, interval, {"increasing": "decreasing", "decreasing": "increasing"}[direction])
         return listed
 
-    roots = verification.poly_roots
+    approximations = verification.cycle_eigenvalues
 
-    def scaled(p):
-        spectrum = roots(p)
-        return ComplexSpectrum(tuple(z * 1.001 for z in spectrum.values)) if p.degree == 5 else spectrum
+    def scaled(n, sign):
+        # the certificate still proves discs around these, but they are wide
+        spectrum = approximations(n, sign)
+        return ComplexSpectrum(tuple(z * 1.001 for z in spectrum.values)) if n == 5 else spectrum
 
     monkeypatch.setattr(trig, "monotonicity_claims", flipped)
-    monkeypatch.setattr(verification, "poly_roots", scaled)
+    monkeypatch.setattr(verification, "cycle_eigenvalues", scaled)
     code, out, _ = run_cli(capsys, "verify", "--n-max", "8", "--grid-points", "50")
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL monotone csc_csc [2,3] n=6: worst adjacent difference -0.0111",
         "FAIL monotone csc_csc [2,4] n=8: worst adjacent difference -0.0237",
-        "FAIL cycle closed form vs spectrum n=5 sign=+: difference 0.00324",
-        "FAIL cycle closed form vs spectrum n=5 sign=-: difference 0.00324",
+        "FAIL cycle closed form vs spectrum n=5 sign=+: difference 0.00324 + root bound 0.025",
+        "FAIL cycle closed form vs spectrum n=5 sign=-: difference 0.00324 + root bound 0.025",
     ]
     assert "30/34 checks passed" in out.splitlines()
 

@@ -424,36 +424,39 @@ def test_verify_builds_each_prediction_once(monkeypatch):
 
 
 def test_verify_roots_x_to_the_n_minus_sign_without_char_poly(monkeypatch):
-    # the cycle checks root x^n - sign (Harary 1962) instead of running the
-    # O(n^4) trace recursion on the cycle matrix; the polynomials must still
-    # be the ones that recursion gives, coefficient for coefficient
-    expected = [
-        spectra.char_poly(graphs.adjacency_matrix(graphs.make_cycle(n, sign))).coeffs
+    # the cycle checks prove the analytic roots of x^n - sign (Harary 1962)
+    # instead of building the cycle matrix or searching for roots at all;
+    # each certified polynomial must still be the one the trace recursion
+    # gives for the cycle matrix, coefficient for coefficient
+    expected = {
+        (n, sign): spectra.char_poly(graphs.adjacency_matrix(graphs.make_cycle(n, sign))).coeffs
         for n in range(2, 31)
         for sign in (1, -1)
-    ]
+    }
 
     def refuse(*args, **kwargs):
-        raise AssertionError("verify built a cycle matrix or its characteristic polynomial")
+        raise AssertionError("verify searched for roots, or built a cycle matrix or its characteristic polynomial")
 
     for module in (sidigraph, spectra, graphs, verification):
-        monkeypatch.setattr(module, "char_poly", refuse, raising=False)
-        monkeypatch.setattr(module, "adjacency_matrix", refuse, raising=False)
-    rooted = []
-    poly_roots = verification.poly_roots
+        for name in ("poly_roots", "char_poly", "adjacency_matrix"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    certified = []
+    certify = verification.cycle_root_radii
 
-    def recorded(p, *args, **kwargs):
-        rooted.append(p.coeffs)
-        return poly_roots(p, *args, **kwargs)
+    def recorded(n, sign, approximations):
+        certified.append((n, sign))
+        return certify(n, sign, approximations)
 
-    monkeypatch.setattr(verification, "poly_roots", recorded)
+    monkeypatch.setattr(verification, "cycle_root_radii", recorded)
     results = verification.run_verification(30, grid_points=10)
     assert all(r.passed for r in results)
     names = "\n".join(r.name for r in results).encode("utf-8")
     # the 213 check names of n_max 30, the same on either route
     assert len(results) == 213
     assert hashlib.sha256(names).hexdigest() == "9ca2716ab323be548a8784f3bf0ae07b00ce424fdf857ce04214f881abc7765e"
-    assert rooted == expected
+    assert certified == list(expected)
+    for n, sign in certified:
+        assert expected[n, sign] == (-sign,) + (0.0,) * (n - 1) + (1.0,)
 
 
 @pytest.mark.parametrize("n", range(6, 61, 2))

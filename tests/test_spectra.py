@@ -71,7 +71,7 @@ def test_char_poly_joined_against_cofactor_oracle():
 @pytest.mark.parametrize("n", range(2, 129))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_char_poly_cycles_sweep(n, sign):
-    # exactly x^n - sign (Harary 1962), the polynomial verify roots for C_n
+    # exactly x^n - sign (Harary 1962), whose roots verify proves for C_n
     p = char_poly(adjacency_matrix(make_cycle(n, sign)))
     expected = np.zeros(n + 1)
     expected[0] = -sign
@@ -474,6 +474,87 @@ def test_cycle_eigenvalues_match_sign_convention():
             assert len(spec.values) == n
             for z in spec.values:
                 assert abs(z**n - sign) < 1e-10
+
+
+# --- inclusion discs for the roots of x^n - sign ----------------------------
+
+def test_cycle_root_discs_isolated_and_tight_up_to_1000():
+    for n in range(2, 1001):
+        for sign in (1, -1):
+            radii = spectra.cycle_root_radii(n, sign, cycle_eigenvalues(n, sign))
+            assert len(radii) == n
+            assert math.fsum(radii) <= 1e-9, (n, sign)
+            # the rounding of z^n is bounded, not ignored, even where it is 0
+            assert radii.min() >= (n - 1) * 2.25 * 2.0**-53
+
+
+@pytest.mark.parametrize("n", [3, 64, 997])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cycle_root_bound_holds_against_50_digit_roots(n, sign):
+    mpmath = pytest.importorskip("mpmath")
+    approximations = cycle_eigenvalues(n, sign)
+    bound = math.fsum(spectra.cycle_root_radii(n, sign, approximations))
+    with mpmath.workdps(50):
+        offset = 0 if sign == 1 else 1
+        roots = [mpmath.expjpi(mpmath.mpf(2 * k + offset) / n) for k in range(n)]
+        exact_energy = mpmath.fsum(abs(mpmath.re(w)) for w in roots)
+        exact_iota = mpmath.fsum(abs(mpmath.im(w)) for w in roots)
+        for got, exact in ((energy(approximations), exact_energy), (iota_energy(approximations), exact_iota)):
+            assert abs(mpmath.mpf(got) - exact) <= bound + math.ulp(got)
+
+
+def test_cycle_root_discs_hold_the_roots_of_perturbed_approximations():
+    # scaled by 1.001 the approximations are poor, but each disc still holds its root
+    n, sign = 5, 1
+    scaled = [z * 1.001 for z in cycle_eigenvalues(n, sign).values]
+    radii = spectra.cycle_root_radii(n, sign, scaled)
+    for z, radius, root in zip(scaled, radii, cycle_eigenvalues(n, sign).values):
+        assert 0.0009 < abs(z - root) <= radius < 1 / (4 * n)
+        assert radius == pytest.approx(abs(z**n - sign) / abs(z) ** (n - 1), rel=1e-12)
+
+
+def test_cycle_root_discs_refuse_coinciding_approximations():
+    approximations = list(cycle_eigenvalues(7, 1).values)
+    approximations[3] = approximations[2]
+    refusal = "root discs not isolated: approximations 2 and 3 share a cell"
+    with pytest.raises(RootFindingError, match=refusal) as caught:
+        spectra.cycle_root_radii(7, 1, approximations)
+    assert caught.value.roots == tuple(approximations)
+
+
+def test_cycle_root_discs_refuse_neighbours_across_a_cell_edge():
+    # 1 lies on an edge of the cells of side 1/7; one ulp below it is across
+    approximations = list(cycle_eigenvalues(7, 1).values)
+    approximations[3] = complex(1.0 - 2.0**-53, 0.0)
+    refusal = "root discs not isolated: approximations 3 and 0 lie in neighbouring cells"
+    with pytest.raises(RootFindingError, match=refusal):
+        spectra.cycle_root_radii(7, 1, approximations)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (complex("nan"), "root approximation 4 = \\(nan\\+0j\\) is not finite"),
+        (complex("inf"), "root approximation 4 = \\(inf\\+0j\\) is not finite"),
+        (complex(1e300, 1e300), "is not finite or lies off the unit circle"),
+        (1.5, "root approximation 4 = \\(1.5\\+0j\\) lies off the unit circle"),
+        (0.97, "root disc 4 has radius [0-9.]+, not below 1/\\(4n\\) = 0.025"),
+    ],
+)
+def test_cycle_root_discs_refuse_bad_approximations(bad, message):
+    approximations = list(cycle_eigenvalues(10, -1).values)
+    approximations[4] = bad
+    with pytest.raises(RootFindingError, match=message):
+        spectra.cycle_root_radii(10, -1, approximations)
+
+
+def test_cycle_root_discs_need_one_approximation_per_root():
+    with pytest.raises(ValueError, match="need the 4 approximations"):
+        spectra.cycle_root_radii(4, 1, cycle_eigenvalues(3, 1))
+    with pytest.raises(ValueError, match="need n >= 2 and sign"):
+        spectra.cycle_root_radii(1, 1, [1.0])
+    with pytest.raises(ValueError, match="need n >= 2 and sign"):
+        spectra.cycle_root_radii(3, 0, cycle_eigenvalues(3, 1))
 
 
 # --- one route: strong components, guarded numeric branch -------------------
