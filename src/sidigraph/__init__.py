@@ -47,7 +47,6 @@ from .orderings import (
     splice_gap,
 )
 from .spectra import (
-    ComplexSpectrum,
     Polynomial,
     RootFindingError,
     char_poly,

@@ -18,7 +18,7 @@ from .cycle_formulas import (
     iota_case_label,
     iota_energy_cycle,
 )
-from .graphs import EdgeListParseError, parse_edge_list, strong_components
+from .graphs import parse_edge_list, strong_components
 from .spectra import RootFindingError, eigenvalues, energy, iota_energy
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     # Sort and print the values as shown: rounding noise such as an
     # imaginary part of 1e-17 must neither print as -0.000000 nor move a
     # real root through cmath.phase.  Adding 0.0 turns -0.0 into 0.0.
-    shown = [complex(round(z.real, 6) + 0.0, round(z.imag, 6) + 0.0) for z in spectrum.values]
+    shown = [complex(round(z.real, 6) + 0.0, round(z.imag, 6) + 0.0) for z in spectrum]
     ordered = sorted(shown, key=lambda z: (cmath.phase(z), abs(z)))
     print(f"vertices: {graph.n_vertices}")
     print(f"arcs: {graph.n_arcs}")
@@ -221,10 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except EdgeListParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # EdgeListParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RootFindingError as exc:

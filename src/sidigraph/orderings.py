@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable
 
 import numpy as np
@@ -39,7 +39,7 @@ TIE_TOL = 1e-9
 # Largest budget any ordering, chain or extremal query accepts: up to it
 # the smallest gap between distinct pair values, 1.6e-8 at 1000 (mixed
 # pairs, floating ones included), stays above TIE_TOL, so tie groups hold
-# only ties.
+# only ties and the strict-descent checks compare real drops.
 MAX_BUDGET = 1000
 
 
@@ -169,16 +169,24 @@ def enumerate_pairs(budget_n: int, sign_class: str) -> list[CyclePair]:
     return [_pair(*row) for row in _family(budget_n, sign_class).tolist()]
 
 
+@cache
+def _cycle_table() -> np.ndarray:
+    """iota_energy_cycle(length, sign) at row length/2 - 1, column (sign + 1)/2,
+    for every even length up to MAX_BUDGET; built on first use, read-only."""
+    table = np.array(
+        [[iota_energy_cycle(length, sign) for sign in (-1, 1)] for length in range(2, MAX_BUDGET + 1, 2)]
+    )
+    table.flags.writeable = False
+    return table
+
+
 def _values(codes: np.ndarray) -> np.ndarray:
     """Iota energy of each row: the c1 cycle's value plus the c2 cycle's.
 
-    Each (length, sign) is evaluated once by iota_energy_cycle, so a row's
-    value is bit-identical to pair_iota of its pair.
+    Both are read from _cycle_table, so a row's value is bit-identical to
+    pair_iota of its pair; every caller keeps its totals within MAX_BUDGET.
     """
-    longest = int(codes[:, [0, 2]].max()) if len(codes) else 2
-    cycle = np.array(
-        [[iota_energy_cycle(length, sign) for sign in (-1, 1)] for length in range(2, longest + 1, 2)]
-    )
+    cycle = _cycle_table()
     return (
         cycle[codes[:, 0] // 2 - 1, (codes[:, 1] + 1) // 2]
         + cycle[codes[:, 2] // 2 - 1, (codes[:, 3] + 1) // 2]
@@ -518,21 +526,22 @@ def check_exact_total_chain(n: int) -> str:
     """Verify the descending chain of pairs whose total is exactly n.
 
     The chain runs through the (-,-) pairs from (2, n-2) to the center and
-    back out through the (+,+) pairs to (2, n-2); it must both decrease
-    strictly and agree with the numeric sort of the exact-total family.
-    Returns "" on a pass, else what failed.
+    back out through the (+,+) pairs to (2, n-2), every pair of total n
+    once; it must decrease strictly, by more than TIE_TOL at each step.
+    Finite values that do are already in the numeric sort's order, so the
+    chain then agrees with the numeric sort of the exact-total family too.
+    Returns "" on a pass, else the first step that does not drop.  n may
+    not exceed MAX_BUDGET, above which the drops are not known to exceed
+    TIE_TOL.
     """
     if n <= 4 or n % 2 != 0:
         raise ValueError(f"total must be even and > 4, got {n}")
+    _check_budget(n)
     family = _family_table(SAME_SIGN, np.array([n]))
     values = _values(family)
     negative = family[:, 1] < 0
     chain = np.r_[np.flatnonzero(negative), np.flatnonzero(~negative)[::-1]]
-    detail = _strict_descent_detail(family[chain], values[chain])
-    if detail:
-        return detail
-    numeric = family[_by_value(family, values)]
-    return "" if np.array_equal(numeric, family[chain]) else "chain disagrees with numeric sort"
+    return _strict_descent_detail(family[chain], values[chain])
 
 
 def splice_gap(n: int) -> float:
@@ -553,10 +562,12 @@ def check_splice_inequalities(n: int) -> str:
     For even n >= 22: the center (-,-) pair of total n-2 beats
     (C_2^+, C_{n-2}^+), which beats the center (+,+) pair of total n-2; and
     (C_6^+, C_{n-6}^+) > (C_2^-, C_{n-4}^-) > (C_4^+, C_{n-4}^+).
-    Returns "" on a pass, else the first inequality that fails.
+    Returns "" on a pass, else the first inequality that fails.  n may not
+    exceed MAX_BUDGET, as for check_exact_total_chain.
     """
     if n < 22 or n % 2 != 0:
         raise ValueError(f"splice inequalities need even n >= 22, got {n}")
+    _check_budget(n)
     center = _center(n - 2)
     chains = [
         [(center, -1, n - 2 - center, -1), (2, 1, n - 2, 1), (center, 1, n - 2 - center, 1)],

@@ -54,6 +54,9 @@ RESIDUAL_TOL = 1e-10
 # start circles by about the tolerance, which no iteration notices.
 HULL_TOL = 1e-12
 
+# Iterations _aberth may take before poly_roots refuses its roots.
+MAX_ITERATIONS = 1000
+
 # Rows of z_i - z_j that one step of the Aberth sums forms at once; a block
 # of 128 rows at degree 512 is 1 MB of complex doubles, and degrees up to
 # 128 run as one block.
@@ -76,30 +79,21 @@ class Polynomial:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """Multiset of complex eigenvalues, one per matrix row."""
-
-    values: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(complex(z) for z in self.values))
-
-
 class RootFindingError(RuntimeError):
-    """Root finding failed; carries diagnostics.
+    """Root finding failed; carries what diagnostics the refusal has.
 
-    roots and residuals are empty and iterations 0 when char_poly cannot
-    certify its coefficients, and when eigenvalues refuses a strong
-    component that is not a cycle and has more than MAX_DIMENSION vertices;
-    residuals is empty and iterations 0 when eigenvalues rejects a root
-    outside the Gershgorin bound; residuals is empty when two root
-    approximations coincide or one is not finite, and roots holds the
-    approximations; residuals is empty and iterations 0 when
-    cycle_root_radii cannot prove its approximations, which roots holds.
+    roots holds the root approximations the refusing stage had, residuals
+    |p(z)| at each of them, and iterations the number of root iterations
+    run; each is empty or 0 when the stage had none.
     """
 
-    def __init__(self, message: str, roots: tuple[complex, ...], residuals: tuple[float, ...], iterations: int):
+    def __init__(
+        self,
+        message: str,
+        roots: tuple[complex, ...] = (),
+        residuals: tuple[float, ...] = (),
+        iterations: int = 0,
+    ):
         super().__init__(message)
         self.roots = roots
         self.residuals = residuals
@@ -158,10 +152,7 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
         if reached > EXACT_INTEGER_LIMIT:
             raise RootFindingError(
                 "characteristic polynomial is not exact in double precision: "
-                f"step {k} of {n} reaches {reached:.3g} > 2^53",
-                roots=(),
-                residuals=(),
-                iterations=0,
+                f"step {k} of {n} reaches {reached:.3g} > 2^53"
             )
         ck = -float(np.add.reduce(diagonal, dtype=np.float64)) / k
         descending.append(ck)
@@ -313,13 +304,13 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, b
     return z, max_iterations, False
 
 
-def poly_roots(p: Polynomial, max_iterations: int = 1000) -> ComplexSpectrum:
+def poly_roots(p: Polynomial) -> tuple[complex, ...]:
     """All complex roots of a monic polynomial, with multiplicity.
 
     Roots at zero are deflated exactly (leading near-zero coefficients);
     the rest come from the Aberth-Ehrlich iteration.  A RootFindingError
     with the roots, residuals and iteration count is raised when the
-    iteration reaches max_iterations with a residual still above its
+    iteration reaches MAX_ITERATIONS with a residual still above its
     evaluation noise floor, or when a returned root would break
     |p(z)| <= 1e-10 * max(1, sum_k |c_k| |z|^k), which a non-finite root or
     residual always breaks.  The bound scales with the
@@ -346,7 +337,7 @@ def poly_roots(p: Polynomial, max_iterations: int = 1000) -> ComplexSpectrum:
     elif len(reduced) == 2:
         nonzero = np.array([-reduced[0] / reduced[1]], dtype=np.complex128)
     else:
-        nonzero, iterations, converged = _aberth(reduced, max_iterations)
+        nonzero, iterations, converged = _aberth(reduced, MAX_ITERATIONS)
 
     roots = np.concatenate([np.zeros(n_zero, dtype=np.complex128), nonzero])
     residuals = np.abs(_evaluate(coeffs.astype(np.complex128), roots))
@@ -369,10 +360,10 @@ def poly_roots(p: Polynomial, max_iterations: int = 1000) -> ComplexSpectrum:
             residuals=tuple(residuals.tolist()),
             iterations=iterations,
         )
-    return ComplexSpectrum(tuple(roots.tolist()))
+    return tuple(roots.tolist())
 
 
-def cycle_eigenvalues(length: int, sign: int) -> ComplexSpectrum:
+def cycle_eigenvalues(length: int, sign: int) -> tuple[complex, ...]:
     """Analytic spectrum of a signed cycle: the n-th roots of its sign."""
     if sign == 1:
         angles = (2.0 * math.pi * k / length for k in range(length))
@@ -380,7 +371,7 @@ def cycle_eigenvalues(length: int, sign: int) -> ComplexSpectrum:
         angles = ((2.0 * k + 1.0) * math.pi / length for k in range(length))
     else:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return ComplexSpectrum(tuple(cmath.rect(1.0, a) for a in angles))
+    return tuple(cmath.rect(1.0, a) for a in angles)
 
 
 def _power(z: np.ndarray, n: int) -> np.ndarray:
@@ -395,7 +386,7 @@ def _power(z: np.ndarray, n: int) -> np.ndarray:
         z = z * z
 
 
-def cycle_root_radii(n: int, sign: int, approximations: ComplexSpectrum | Iterable[complex]) -> np.ndarray:
+def cycle_root_radii(n: int, sign: int, approximations: Iterable[complex]) -> np.ndarray:
     """Proven radii of disjoint inclusion discs for the roots of x^n - sign.
 
     The disc |z - z_k| <= r_k around the k-th approximation holds one root,
@@ -431,12 +422,12 @@ def cycle_root_radii(n: int, sign: int, approximations: ComplexSpectrum | Iterab
     """
     if n < 2 or sign not in (1, -1):
         raise ValueError(f"need n >= 2 and sign +1 or -1, got n={n}, sign={sign!r}")
-    z = np.asarray(_spectrum_values(approximations), dtype=np.complex128)
+    z = np.asarray(tuple(approximations), dtype=np.complex128)
     if len(z) != n:
         raise ValueError(f"need the {n} approximations of the roots of x^n - sign, got {len(z)}")
 
     def refuse(message: str) -> RootFindingError:
-        return RootFindingError(message, roots=tuple(z.tolist()), residuals=(), iterations=0)
+        return RootFindingError(message, roots=tuple(z.tolist()))
 
     x, y = z.real, z.imag
     # comparisons of abs are false for NaN, and no square of a kept value overflows
@@ -482,7 +473,7 @@ def cycle_root_radii(n: int, sign: int, approximations: ComplexSpectrum | Iterab
 
 def _numeric_eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:
     """Roots of the characteristic polynomial, checked against Gershgorin."""
-    roots = poly_roots(char_poly(matrix)).values
+    roots = poly_roots(char_poly(matrix))
     bound = float(np.abs(matrix).sum(axis=1).max())
     bad = [z for z in roots if not cmath.isfinite(z) or abs(z) > bound * (1.0 + 1e-6)]
     if bad:
@@ -490,13 +481,11 @@ def _numeric_eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:
             f"{len(bad)} of {len(roots)} roots are not finite or lie outside the "
             f"Gershgorin bound {bound:g}, e.g. {bad[0]:.6g}",
             roots=roots,
-            residuals=(),
-            iterations=0,
         )
     return roots
 
 
-def eigenvalues(g: SignedDigraph, components: list[SignedDigraph] | None = None) -> ComplexSpectrum:
+def eigenvalues(g: SignedDigraph, components: list[SignedDigraph] | None = None) -> tuple[complex, ...]:
     """Eigenvalues of the adjacency matrix of g, strong component by component.
 
     components, when given, must be strong_components(g); a caller that
@@ -515,34 +504,25 @@ def eigenvalues(g: SignedDigraph, components: list[SignedDigraph] | None = None)
             values.append(0j)
         elif component.n_arcs == n:
             sign = math.prod(s for _tail, _head, s in component.arcs)
-            values.extend(cycle_eigenvalues(n, sign).values)
+            values.extend(cycle_eigenvalues(n, sign))
         elif n > MAX_DIMENSION:
             raise RootFindingError(
                 f"strong component of {n} vertices exceeds the supported maximum "
-                f"{MAX_DIMENSION} of the characteristic polynomial",
-                roots=(),
-                residuals=(),
-                iterations=0,
+                f"{MAX_DIMENSION} of the characteristic polynomial"
             )
         else:
             values.extend(_numeric_eigenvalues(adjacency_matrix(component)))
-    return ComplexSpectrum(tuple(values))
+    return tuple(values)
 
 
-def _spectrum_values(s: ComplexSpectrum | Iterable[complex]) -> tuple[complex, ...]:
-    if isinstance(s, ComplexSpectrum):
-        return s.values
-    return tuple(complex(z) for z in s)
-
-
-def energy(s: ComplexSpectrum | Iterable[complex]) -> float:
+def energy(s: Iterable[complex]) -> float:
     """Sum of absolute real parts of the eigenvalues."""
-    return math.fsum(abs(z.real) for z in _spectrum_values(s))
+    return math.fsum(abs(z.real) for z in s)
 
 
-def iota_energy(s: ComplexSpectrum | Iterable[complex]) -> float:
+def iota_energy(s: Iterable[complex]) -> float:
     """Sum of absolute imaginary parts of the eigenvalues."""
-    return math.fsum(abs(z.imag) for z in _spectrum_values(s))
+    return math.fsum(abs(z.imag) for z in s)
 
 
 def iota_energy_of_graph(g: SignedDigraph) -> float:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sidigraph import (
-    ComplexSpectrum,
     SignedDigraph,
     adjacency_matrix,
     format_edge_list,
@@ -273,7 +272,7 @@ def test_verify_prints_failing_monotone_and_cycle_details(capsys, monkeypatch):
     def scaled(n, sign):
         # the certificate still proves discs around these, but they are wide
         spectrum = approximations(n, sign)
-        return ComplexSpectrum(tuple(z * 1.001 for z in spectrum.values)) if n == 5 else spectrum
+        return tuple(z * 1.001 for z in spectrum) if n == 5 else spectrum
 
     monkeypatch.setattr(trig, "monotonicity_claims", flipped)
     monkeypatch.setattr(verification, "cycle_eigenvalues", scaled)
@@ -428,9 +427,7 @@ def test_spectrum_finds_strong_components_once(tmp_path, capsys, monkeypatch):
 def test_spectrum_prints_and_sorts_values_as_shown(tmp_path, capsys, monkeypatch):
     # imaginary parts of rounding size printed as -0.000000 and, through
     # cmath.phase, put 1-1e-17j before the smaller real root 0.5
-    from sidigraph import ComplexSpectrum, cli
-
-    values = ComplexSpectrum((1 + 1e-17j, 1 - 1e-17j, 0.5 - 1e-18j))
+    values = (1 + 1e-17j, 1 - 1e-17j, 0.5 - 1e-18j)
     monkeypatch.setattr(cli, "eigenvalues", lambda g, components=None: values)
     path = tmp_path / "p3.txt"
     path.write_text(format_edge_list(make_path(3)), encoding="utf-8")

@@ -569,6 +569,24 @@ def test_budget_cap_holds_for_the_floating_pair_and_verify():
         verification.run_verification(1001)
 
 
+def test_budget_cap_holds_for_the_strict_descent_checks():
+    # above the cap the drops are judged against TIE_TOL unvouched: at 4064
+    # the exact-total chain would report a drop of about 1e-9 as a stall
+    for check in (check_exact_total_chain, check_splice_inequalities):
+        with pytest.raises(ValueError, match=r"^budget must be <= 1000, got 1002$"):
+            check(1002)
+        assert check(1000) == ""
+
+
+def test_pair_values_read_one_cycle_table(monkeypatch):
+    ordered_sequence(4, SAME_SIGN)  # the first _values call builds the table
+    calls = []
+    monkeypatch.setattr(orderings, "iota_energy_cycle", lambda *args: calls.append(args))
+    sequence = ordered_sequence(400, SAME_SIGN)
+    assert calls == []
+    assert sequence.values.tolist() == [pair_iota(P(*row)) for row in sequence.codes.tolist()]
+
+
 def test_floating_pair_validation():
     with pytest.raises(ValueError):
         locate_floating_pair(13)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidigraph import (
-    ComplexSpectrum,
     Polynomial,
     RootFindingError,
     SignedDigraph,
@@ -183,25 +182,25 @@ def test_char_poly_rejects_non_square():
 
 def test_poly_roots_quartic():
     spec = poly_roots(Polynomial((-1.0, 0.0, 0.0, 0.0, 1.0)))
-    match_multisets(spec.values, [1, -1, 1j, -1j], 1e-10)
+    match_multisets(spec, [1, -1, 1j, -1j], 1e-10)
 
 
 def test_poly_roots_quadratic_and_cubic():
     spec = poly_roots(Polynomial((1.0, 0.0, 1.0)))
-    match_multisets(spec.values, [1j, -1j], 1e-12)
+    match_multisets(spec, [1j, -1j], 1e-12)
     spec = poly_roots(Polynomial((1.0, 0.0, 0.0, 1.0)))
-    match_multisets(spec.values, [-1, 0.5 + math.sqrt(3) / 2 * 1j, 0.5 - math.sqrt(3) / 2 * 1j], 1e-10)
+    match_multisets(spec, [-1, 0.5 + math.sqrt(3) / 2 * 1j, 0.5 - math.sqrt(3) / 2 * 1j], 1e-10)
 
 
 def test_poly_roots_pure_power():
     spec = poly_roots(Polynomial((0.0,) * 6 + (1.0,)))
-    assert spec.values == (0j,) * 6
+    assert spec == (0j,) * 6
 
 
 def test_poly_roots_residual_contract():
     p = Polynomial(tuple(np.random.default_rng(7).normal(size=12)) + (1.0,))
     spec = poly_roots(p)
-    for z in spec.values:
+    for z in spec:
         assert abs(np.polyval(p.coeffs[::-1], z)) <= 1e-10 * (1.0 + abs(z)) ** p.degree
 
 
@@ -233,9 +232,10 @@ def test_poly_roots_requires_monic_and_degree():
         poly_roots(Polynomial((1.0,)))
 
 
-def test_poly_roots_reports_failure_with_diagnostics():
+def test_poly_roots_reports_failure_with_diagnostics(monkeypatch):
+    monkeypatch.setattr(spectra, "MAX_ITERATIONS", 1)
     with pytest.raises(RootFindingError) as exc:
-        poly_roots(Polynomial((-1.0,) + (0.0,) * 49 + (1.0,)), max_iterations=1)
+        poly_roots(Polynomial((-1.0,) + (0.0,) * 49 + (1.0,)))
     assert len(exc.value.roots) == 50
     assert len(exc.value.residuals) == 50
     assert exc.value.iterations == 1
@@ -256,7 +256,7 @@ def test_poly_roots_of_collinear_hull_polynomial_match_lapack():
     # coinciding starts converged in pairs onto one root: 0.0978+0.8444i
     # three times, and -1.4366, 1.4188 and -0.9268+0.7462i missing
     spec = poly_roots(Polynomial(COLLINEAR_HULL_POLY))
-    match_multisets(spec.values, np.roots(COLLINEAR_HULL_POLY[::-1]), 1e-6)
+    match_multisets(spec, np.roots(COLLINEAR_HULL_POLY[::-1]), 1e-6)
     assert char_poly(adjacency_matrix(collinear_hull_scc())).coeffs == COLLINEAR_HULL_POLY
 
 
@@ -300,18 +300,20 @@ def test_reciprocal_sums_are_bit_identical_to_the_whole_matrix(degree):
 
 @pytest.mark.parametrize("degree", [128, 200])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_newton_polygon_start_converges_in_few_iterations(degree, sign):
+def test_newton_polygon_start_converges_in_few_iterations(monkeypatch, degree, sign):
     # every root of x^d - sign lies on the unit circle, the one circle of the
     # Newton polygon; a ring at the Cauchy radius 2 needed 40-74 iterations
     p = Polynomial((-float(sign),) + (0.0,) * (degree - 1) + (1.0,))
-    spec = poly_roots(p, max_iterations=10)
-    match_multisets(spec.values, analytic_cycle_roots(degree, sign), 1e-10)
+    monkeypatch.setattr(spectra, "MAX_ITERATIONS", 10)
+    spec = poly_roots(p)
+    match_multisets(spec, analytic_cycle_roots(degree, sign), 1e-10)
 
 
-def test_poly_roots_refuses_iteration_cap_above_noise_floor():
+def test_poly_roots_refuses_iteration_cap_above_noise_floor(monkeypatch):
     # roots two steps from the start are refused by the convergence rule
+    monkeypatch.setattr(spectra, "MAX_ITERATIONS", 2)
     with pytest.raises(RootFindingError, match="above the noise floor") as exc:
-        poly_roots(Polynomial((1.0,) + (0.0,) * 199 + (1.0,)), max_iterations=2)
+        poly_roots(Polynomial((1.0,) + (0.0,) * 199 + (1.0,)))
     assert exc.value.iterations == 2
     assert len(exc.value.roots) == len(exc.value.residuals) == 200
     assert max(exc.value.residuals) > 1e-6
@@ -348,22 +350,22 @@ def test_blocked_evaluation_within_noise_floor(case):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_roots_of_cycle_char_poly_sweep(n, sign):
     spec = poly_roots(char_poly(adjacency_matrix(make_cycle(n, sign))))
-    match_multisets(spec.values, analytic_cycle_roots(n, sign), 1e-8)
+    match_multisets(spec, analytic_cycle_roots(n, sign), 1e-8)
 
 
 def test_spectrum_closed_under_conjugation():
     g = join_with_arc(make_cycle(3, -1), make_cycle(4, -1), 0, 0, 1)
     spec = eigenvalues(g)
-    conjugated = [z.conjugate() for z in spec.values]
-    match_multisets(spec.values, conjugated, 1e-8)
+    conjugated = [z.conjugate() for z in spec]
+    match_multisets(spec, conjugated, 1e-8)
 
 
 # --- eigenvalues -----------------------------------------------------------
 
 def test_eigenvalues_fast_path_values():
-    match_multisets(eigenvalues(make_cycle(2, -1)).values, [1j, -1j], 1e-12)
+    match_multisets(eigenvalues(make_cycle(2, -1)), [1j, -1j], 1e-12)
     expected = [cmath.rect(1.0, a) for a in (math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4, 7 * math.pi / 4)]
-    match_multisets(eigenvalues(make_cycle(4, -1)).values, expected, 1e-12)
+    match_multisets(eigenvalues(make_cycle(4, -1)), expected, 1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 21))
@@ -372,7 +374,7 @@ def test_fast_path_agrees_with_numeric_route(n, sign):
     g = make_cycle(n, sign)
     fast = eigenvalues(g)
     numeric = poly_roots(char_poly(adjacency_matrix(g)))
-    match_multisets(fast.values, numeric.values, 1e-8)
+    match_multisets(fast, numeric, 1e-8)
 
 
 def test_eigenvalues_refuses_large_non_cycle_component_before_its_matrix(monkeypatch):
@@ -385,19 +387,42 @@ def test_eigenvalues_refuses_large_non_cycle_component_before_its_matrix(monkeyp
         eigenvalues(g)
     assert (exc.value.roots, exc.value.residuals, exc.value.iterations) == ((), (), 0)
     # a cycle of the same size takes the analytic branch
-    assert len(eigenvalues(make_cycle(513, -1)).values) == 513
+    assert len(eigenvalues(make_cycle(513, -1))) == 513
 
 
 def test_eigenvalues_joined_graph():
     g = join_with_arc(make_cycle(2, 1), make_cycle(4, -1), 0, 0, 1)
     expected = analytic_cycle_roots(2, 1) + analytic_cycle_roots(4, -1)
-    match_multisets(eigenvalues(g).values, expected, 1e-8)
+    match_multisets(eigenvalues(g), expected, 1e-8)
+
+
+def test_spectra_are_tuples_of_complex():
+    # a 4-cycle, a 3-vertex path in both directions (the numeric route) and
+    # two singletons; roots by deflation, the linear branch and Aberth
+    two_way_path = SignedDigraph(3, ((0, 1, 1), (1, 0, 1), (1, 2, -1), (2, 1, 1)))
+    g = join_with_arc(join_with_arc(make_cycle(4, -1), two_way_path, 0, 0, 1), make_path(2), 4, 0, 1)
+    spectra_ = [
+        eigenvalues(g),
+        cycle_eigenvalues(5, -1),
+        poly_roots(Polynomial((0.0, 0.0, 1.0))),
+        poly_roots(Polynomial((2.0, 1.0))),
+        poly_roots(Polynomial((0.0, -1.0, 0.0, 1.0))),
+    ]
+    for spectrum in spectra_:
+        assert type(spectrum) is tuple
+        assert {type(z) for z in spectrum} == {complex}
+    assert len(spectra_[0]) == 9
+
+
+def test_root_finding_error_diagnostics_default_to_empty():
+    error = RootFindingError("m")
+    assert (str(error), error.roots, error.residuals, error.iterations) == ("m", (), (), 0)
 
 
 # --- energy functionals ----------------------------------------------------
 
 def test_energy_values():
-    assert energy(ComplexSpectrum((1j, -1j))) == 0.0
+    assert energy((1j, -1j)) == 0.0
     assert energy(eigenvalues(make_cycle(4, 1))) == pytest.approx(2.0, abs=1e-12)
     assert energy(eigenvalues(make_cycle(5, 1))) == pytest.approx(
         1.0 / math.sin(math.pi / 10), abs=1e-10
@@ -405,7 +430,7 @@ def test_energy_values():
 
 
 def test_iota_energy_values():
-    assert iota_energy(ComplexSpectrum((1.0 + 0j, -1.0 + 0j))) == 0.0
+    assert iota_energy((1.0 + 0j, -1.0 + 0j)) == 0.0
     assert iota_energy(eigenvalues(make_cycle(2, -1))) == pytest.approx(2.0, abs=1e-12)
     assert iota_energy(eigenvalues(make_cycle(4, -1))) == pytest.approx(
         2.0 * math.sqrt(2.0), abs=1e-10
@@ -413,9 +438,9 @@ def test_iota_energy_values():
 
 
 def test_energy_invariance_under_permutation_and_conjugation():
-    values = eigenvalues(make_cycle(7, -1)).values
-    reversed_spec = ComplexSpectrum(tuple(reversed(values)))
-    conjugated = ComplexSpectrum(tuple(z.conjugate() for z in values))
+    values = eigenvalues(make_cycle(7, -1))
+    reversed_spec = tuple(reversed(values))
+    conjugated = tuple(z.conjugate() for z in values)
     assert energy(reversed_spec) == energy(values)
     assert iota_energy(reversed_spec) == iota_energy(values)
     assert energy(conjugated) == energy(values)
@@ -441,7 +466,7 @@ def test_iota_additivity_over_join(r1, r2):
 def test_numeric_pipeline_at_large_dimension():
     g = make_cycle(128, -1)
     spec = poly_roots(char_poly(adjacency_matrix(g)))
-    match_multisets(spec.values, analytic_cycle_roots(128, -1), 1e-10)
+    match_multisets(spec, analytic_cycle_roots(128, -1), 1e-10)
 
 
 def test_pure_functions_are_thread_safe():
@@ -463,7 +488,7 @@ def test_repeated_roots_conditioning_and_component_route():
     g = join_with_arc(make_cycle(4, 1), make_cycle(4, 1), 0, 0, 1)
     spec = eigenvalues(g)
     doubled = [1, 1, -1, -1, 1j, 1j, -1j, -1j]
-    match_multisets(spec.values, doubled, 1e-6)
+    match_multisets(spec, doubled, 1e-6)
     assert iota_energy_of_graph(g) == pytest.approx(4.0, abs=1e-10)
 
 
@@ -471,8 +496,8 @@ def test_cycle_eigenvalues_match_sign_convention():
     for n in range(2, 12):
         for sign in (1, -1):
             spec = cycle_eigenvalues(n, sign)
-            assert len(spec.values) == n
-            for z in spec.values:
+            assert len(spec) == n
+            for z in spec:
                 assert abs(z**n - sign) < 1e-10
 
 
@@ -506,15 +531,15 @@ def test_cycle_root_bound_holds_against_50_digit_roots(n, sign):
 def test_cycle_root_discs_hold_the_roots_of_perturbed_approximations():
     # scaled by 1.001 the approximations are poor, but each disc still holds its root
     n, sign = 5, 1
-    scaled = [z * 1.001 for z in cycle_eigenvalues(n, sign).values]
+    scaled = [z * 1.001 for z in cycle_eigenvalues(n, sign)]
     radii = spectra.cycle_root_radii(n, sign, scaled)
-    for z, radius, root in zip(scaled, radii, cycle_eigenvalues(n, sign).values):
+    for z, radius, root in zip(scaled, radii, cycle_eigenvalues(n, sign)):
         assert 0.0009 < abs(z - root) <= radius < 1 / (4 * n)
         assert radius == pytest.approx(abs(z**n - sign) / abs(z) ** (n - 1), rel=1e-12)
 
 
 def test_cycle_root_discs_refuse_coinciding_approximations():
-    approximations = list(cycle_eigenvalues(7, 1).values)
+    approximations = list(cycle_eigenvalues(7, 1))
     approximations[3] = approximations[2]
     refusal = "root discs not isolated: approximations 2 and 3 share a cell"
     with pytest.raises(RootFindingError, match=refusal) as caught:
@@ -524,7 +549,7 @@ def test_cycle_root_discs_refuse_coinciding_approximations():
 
 def test_cycle_root_discs_refuse_neighbours_across_a_cell_edge():
     # 1 lies on an edge of the cells of side 1/7; one ulp below it is across
-    approximations = list(cycle_eigenvalues(7, 1).values)
+    approximations = list(cycle_eigenvalues(7, 1))
     approximations[3] = complex(1.0 - 2.0**-53, 0.0)
     refusal = "root discs not isolated: approximations 3 and 0 lie in neighbouring cells"
     with pytest.raises(RootFindingError, match=refusal):
@@ -542,7 +567,7 @@ def test_cycle_root_discs_refuse_neighbours_across_a_cell_edge():
     ],
 )
 def test_cycle_root_discs_refuse_bad_approximations(bad, message):
-    approximations = list(cycle_eigenvalues(10, -1).values)
+    approximations = list(cycle_eigenvalues(10, -1))
     approximations[4] = bad
     with pytest.raises(RootFindingError, match=message):
         spectra.cycle_root_radii(10, -1, approximations)
@@ -571,7 +596,7 @@ def signed_digraphs(draw, max_vertices=8):
 @given(signed_digraphs())
 def test_eigenvalues_reproduce_cofactor_char_poly(g):
     expected = cofactor_char_poly(adjacency_matrix(g).tolist())
-    got = np.poly(eigenvalues(g).values)[::-1]
+    got = np.poly(eigenvalues(g))[::-1]
     assert np.max(np.abs(got - expected)) <= 1e-6 * (1.0 + max(abs(c) for c in expected))
 
 
@@ -582,7 +607,7 @@ def test_chained_blocks_match_per_block_lapack(seed):
     g, blocks = chained_blocks(seed)
     a = adjacency_matrix(g).astype(np.float64)
     expected = np.concatenate([np.linalg.eigvals(a[np.ix_(b, b)]) for b in blocks])
-    match_multisets(eigenvalues(g).values, expected, 1e-6)
+    match_multisets(eigenvalues(g), expected, 1e-6)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -602,7 +627,7 @@ def test_dense_component_matches_lapack(seed):
     # converged roots of a polynomial with 43- and 45-bit coefficients broke it
     g = dense_scc(seed)
     expected = np.linalg.eigvals(adjacency_matrix(g).astype(np.float64))
-    match_multisets(eigenvalues(g).values, expected, 1e-6)
+    match_multisets(eigenvalues(g), expected, 1e-6)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -611,7 +636,7 @@ def test_dense_component_refused_or_right(seed):
     # a refusal is allowed; a spectrum that is returned must be right
     g = dense_scc(seed)
     try:
-        values = eigenvalues(g).values
+        values = eigenvalues(g)
     except RootFindingError:
         return
     z = np.linalg.eigvals(adjacency_matrix(g).astype(np.float64))
@@ -623,7 +648,7 @@ def test_gershgorin_guard_rejects_root_outside_disc(monkeypatch):
     # no real input reaches this guard once char_poly and poly_roots refuse
     # what they cannot vouch for, so a stand-in root finder feeds it
     g = SignedDigraph(6, tuple((i, j, 1) for i in range(6) for j in range(6) if i != j))
-    monkeypatch.setattr(spectra, "poly_roots", lambda p: ComplexSpectrum((6.0,) + (-1.0,) * 5))
+    monkeypatch.setattr(spectra, "poly_roots", lambda p: (6 + 0j,) + (-1 + 0j,) * 5)
     with pytest.raises(RootFindingError, match="Gershgorin"):
         eigenvalues(g)
 
@@ -632,6 +657,6 @@ def test_gershgorin_guard_rejects_root_outside_disc(monkeypatch):
 def test_gershgorin_guard_admits_complete_digraph(sign):
     # the spectral radius of K6 equals its largest absolute row sum, 5
     g = SignedDigraph(6, tuple((i, j, sign) for i in range(6) for j in range(6) if i != j))
-    values = eigenvalues(g).values
+    values = eigenvalues(g)
     assert max(values, key=abs) == pytest.approx(5.0 * sign, abs=1e-8)
     assert iota_energy(values) == pytest.approx(0.0, abs=1e-2)
