@@ -36,7 +36,7 @@ def _parse_sign(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """Tie tolerance: a number >= 0 (NaN and negatives never chain equal values)."""
+    """Tie tolerance: a number >= 0, the domain orderings.ordered_sequence accepts."""
     try:
         value = float(text)
     except ValueError:
@@ -128,7 +128,8 @@ def _format_component_summary(components: list) -> str:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, as some editors write one
+        text = Path(args.path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -21,6 +21,7 @@ practical cycle length.
 from __future__ import annotations
 
 import math
+import sys
 
 from .graphs import CyclePair, check_sign
 
@@ -35,14 +36,21 @@ _FORMS = {
 
 
 def _case(n: int, sign: int, iota: bool) -> tuple[str, int]:
-    """The closed form (a key of _FORMS) of C_n's iota energy or energy, and the m of its pi/m."""
+    """The closed form (a key of _FORMS) of C_n's iota energy or energy, and the m of its pi/m.
+
+    m is n, or 2n for odd n, and must fit a double for pi/m to be evaluated.
+    """
     check_sign(sign)
     if n < 2:
         raise ValueError(f"cycle length must be >= 2, got {n}")
     if n % 2 == 1:
-        return ("cot" if iota else "csc"), 2 * n
-    cot = sign == 1 if iota else (n % 4 == 0) == (sign == 1)
-    return ("2*cot" if cot else "2*csc"), n
+        form, m = ("cot" if iota else "csc"), 2 * n
+    else:
+        cot = sign == 1 if iota else (n % 4 == 0) == (sign == 1)
+        form, m = ("2*cot" if cot else "2*csc"), n
+    if m > sys.float_info.max:
+        raise ValueError(f"cycle length too large: m of pi/m must fit a double, got {n.bit_length()} bits")
+    return form, m
 
 
 def energy_cycle(n: int, sign: int) -> float:

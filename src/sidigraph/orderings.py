@@ -57,11 +57,12 @@ class OrderingSequence:
 
     codes[i] is the (c1 length, c1 sign, c2 length, c2 sign) row of the
     canonical pair at rank i + 1, values[i] its iota energy and
-    tie_groups[i] its tie group, numbered from 1 and nondecreasing.  The
-    arrays are made read-only.  `entries` is the same ordering as
-    OrderingEntry objects, built on first access and cached.  Sequences
-    compare equal when budget, class and all three columns are equal; they
-    are not hashable.
+    tie_groups[i] its tie group, numbered from 1 and nondecreasing.  tie_tol
+    is the tolerance the groups were formed with, which restrict and
+    chain_details group and judge with again.  The arrays are made
+    read-only.  `entries` is the same ordering as OrderingEntry objects,
+    built on first access and cached.  Sequences compare equal when budget,
+    class, tolerance and all three columns are equal; they are not hashable.
     """
 
     budget_n: int
@@ -69,6 +70,7 @@ class OrderingSequence:
     codes: np.ndarray
     values: np.ndarray
     tie_groups: np.ndarray
+    tie_tol: float
 
     def __post_init__(self) -> None:
         for column in (self.codes, self.values, self.tie_groups):
@@ -83,6 +85,7 @@ class OrderingSequence:
             and np.array_equal(self.codes, other.codes)
             and np.array_equal(self.values, other.values)
             and np.array_equal(self.tie_groups, other.tie_groups)
+            and self.tie_tol == other.tie_tol
         )
 
     @cached_property
@@ -211,19 +214,16 @@ def _sorted(
     """Sort a table descending and chain values within tie_tol into tie groups.
 
     A group continues while the step down from the previous value is
-    <= tie_tol; a NaN or negative tie_tol therefore starts a group at every
-    row.  Inside a group rows are ordered by the tie-break key, which also
-    orders exactly equal values that a negative tie_tol keeps in separate
-    groups, e.g. (C2+,C8+) and (C2-,C4-).
+    <= tie_tol.  Inside a group rows are ordered by the tie-break key.
     """
     order = _by_value(codes, values)
     codes, values = codes[order], values[order]
     starts = np.ones(len(values), dtype=bool)
-    starts[1:] = ~(values[:-1] - values[1:] <= tie_tol)
+    starts[1:] = values[:-1] - values[1:] > tie_tol
     groups = np.cumsum(starts)
     # groups is the primary key, so reordering within groups leaves it as it is
     order = np.lexsort(_tie_break_keys(codes) + (groups,))
-    return OrderingSequence(budget_n, sign_class, codes[order], values[order], groups)
+    return OrderingSequence(budget_n, sign_class, codes[order], values[order], groups, tie_tol)
 
 
 def _is_floating(codes: np.ndarray) -> np.ndarray:
@@ -239,29 +239,33 @@ def ordered_sequence(
 ) -> OrderingSequence:
     """Numeric descending ordering of the family, with tie groups.
 
-    Pairs whose values agree within tie_tol share a tie group and are
-    ordered inside it by total length (desc), shorter cycle (asc) and sign
-    pattern.  With exclude_floating, mixed pairs (C_m^-, C_2^+) for m >= 4
-    are dropped; (C_2^-, C_2^+) stays.
+    Pairs whose values agree within tie_tol, a number >= 0 that the
+    sequence keeps, share a tie group and are ordered inside it by total
+    length (desc), shorter cycle (asc) and sign pattern.  With
+    exclude_floating, mixed pairs (C_m^-, C_2^+) for m >= 4 are dropped;
+    (C_2^-, C_2^+) stays.
     """
+    if not tie_tol >= 0.0:
+        raise ValueError(f"tie tolerance must be a number >= 0, got {tie_tol!r}")
     codes = _family(budget_n, sign_class)
     if exclude_floating and sign_class == MIXED_SIGN:
         codes = codes[~_is_floating(codes)]
     return _sorted(budget_n, sign_class, codes, _values(codes), tie_tol)
 
 
-def restrict(sequence: OrderingSequence, budget_n: int, tie_tol: float = TIE_TOL) -> OrderingSequence:
+def restrict(sequence: OrderingSequence, budget_n: int) -> OrderingSequence:
     """The ordering of the same family at a smaller budget.
 
     A pair's value does not depend on the budget, so this masks the rows
-    that fit budget_n, keeps their values and sorts and groups them again;
-    the result equals ordered_sequence at budget_n.
+    that fit budget_n, keeps their values and sorts and groups them again
+    with the sequence's tie_tol; the result equals ordered_sequence at
+    budget_n with that tolerance.
     """
     if not 4 <= budget_n <= sequence.budget_n:
         raise ValueError(f"budget must be in 4..{sequence.budget_n}, got {budget_n}")
     codes = sequence.codes
     fits = codes[:, 0] + codes[:, 2] <= budget_n
-    return _sorted(budget_n, sequence.sign_class, codes[fits], sequence.values[fits], tie_tol)
+    return _sorted(budget_n, sequence.sign_class, codes[fits], sequence.values[fits], sequence.tie_tol)
 
 
 def _center(total: int) -> int:
@@ -436,9 +440,10 @@ def check_mixed_chain(sequence: OrderingSequence) -> str:
 def _failing_budgets(sequence: OrderingSequence, codes: np.ndarray, tied: np.ndarray) -> np.ndarray:
     """Whether the chain check fails at each budget 0..sequence.budget_n, from the n_max table alone.
 
-    Valid when the sequence's tie groups are narrow for the tolerance of
-    the check, as chain_details makes sure.  Then masking to total <= n
-    neither splits nor merges a group, so the budget-n ordering is the
+    Valid when each tie group spans at most the sequence's tie_tol, as
+    chain_details makes sure.  Neighbouring groups drop by more than
+    tie_tol, since that is how they were formed, so masking to total <= n
+    neither splits nor merges a group: the budget-n ordering is the
     sequence masked, as the fitted prediction is the prediction masked.
     Masked rows that are equal at n are equal below n, so they are equal
     up to a limit found by binary search.  Up to it, each row's numeric tie
@@ -484,18 +489,17 @@ def _failing_budgets(sequence: OrderingSequence, codes: np.ndarray, tied: np.nda
     return fails
 
 
-def chain_details(sequence: OrderingSequence, first_n: int, tie_tol: float = TIE_TOL) -> list[str]:
+def chain_details(sequence: OrderingSequence, first_n: int) -> list[str]:
     """The chain check of the sequence restricted to each budget first_n..sequence.budget_n.
 
     Builds the class's prediction once; a mixed sequence must be
-    floating-free.  Details are "" on a pass.  When the sequence's tie
-    groups are narrow for tie_tol (each spans at most tie_tol and drops to
-    the next by more), the verdicts of all budgets come from the n_max
-    table in O(rows) passes, see _failing_budgets, and only the failing
-    budgets are candidates; otherwise, as for a sequence grouped with
-    another tolerance or at tie_tol 3.0, every budget is.  Each candidate
-    is judged by restrict, _fit and _compare_chain, so its detail is the
-    text a check of ordered_sequence at that budget gives.
+    floating-free.  Details are "" on a pass.  When every tie group spans
+    at most the sequence's tie_tol, the verdicts of all budgets come from
+    the n_max table in O(rows) passes, see _failing_budgets, and only the
+    failing budgets are candidates; otherwise, as for a chain of small
+    steps grouped at tie_tol 3.0, every budget is.  Each candidate is
+    judged by restrict, _fit and _compare_chain, so its detail is the text
+    a check of ordered_sequence at that budget and tolerance gives.
     """
     if first_n < 4:
         raise ValueError(f"budget must be in 4..{sequence.budget_n}, got {first_n}")
@@ -505,11 +509,11 @@ def chain_details(sequence: OrderingSequence, first_n: int, tie_tol: float = TIE
     starts = np.flatnonzero(np.diff(sequence.tie_groups, prepend=0))
     highest = np.maximum.reduceat(sequence.values, starts)
     lowest = np.minimum.reduceat(sequence.values, starts)
-    if np.all(highest - lowest <= tie_tol) and np.all(lowest[:-1] - highest[1:] > tie_tol):
+    if np.all(highest - lowest <= sequence.tie_tol):
         budgets = budgets[_failing_budgets(sequence, codes, tied)[first_n:]]
     details = [""] * max(0, sequence.budget_n + 1 - first_n)
     for n in budgets.tolist():
-        details[n - first_n] = _compare_chain(restrict(sequence, n, tie_tol), *_fit(codes, tied, n))
+        details[n - first_n] = _compare_chain(restrict(sequence, n), *_fit(codes, tied, n))
     return details
 
 

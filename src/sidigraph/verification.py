@@ -54,11 +54,11 @@ def run_verification(
     results: list[CheckResult] = []
 
     # Each budget's ordering and prediction are the n_max ones cut to the pairs that fit.
-    same_sign = orderings.ordered_sequence(n_max, orderings.SAME_SIGN)
-    mixed = orderings.ordered_sequence(n_max, orderings.MIXED_SIGN, exclude_floating=True)
-    for n, detail in enumerate(orderings.chain_details(same_sign, 22, tie_tol), start=22):
+    same_sign = orderings.ordered_sequence(n_max, orderings.SAME_SIGN, tie_tol=tie_tol)
+    mixed = orderings.ordered_sequence(n_max, orderings.MIXED_SIGN, exclude_floating=True, tie_tol=tie_tol)
+    for n, detail in enumerate(orderings.chain_details(same_sign, 22), start=22):
         results.append(CheckResult(f"same-sign chain n={n}", detail))
-    for n, detail in enumerate(orderings.chain_details(mixed, 6, tie_tol), start=6):
+    for n, detail in enumerate(orderings.chain_details(mixed, 6), start=6):
         results.append(CheckResult(f"mixed chain n={n}", detail))
     for n in range(6, n_max + 1, 2):
         results.append(CheckResult(f"exact-total chain n={n}", orderings.check_exact_total_chain(n)))

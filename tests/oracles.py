@@ -330,19 +330,19 @@ def reference_exact_total_verdict(n: int, tie_tol: float = 1e-9) -> str:
     return "" if numeric == chain else "chain disagrees with numeric sort"
 
 
-def reference_chain_details(sequence, first_n: int, tie_tol: float) -> list[str]:
+def reference_chain_details(sequence, first_n: int) -> list[str]:
     """orderings.chain_details by the per-budget sweep it replaced.
 
     Every budget's ordering is restricted from the sequence, sorted and
-    grouped again, and compared with the class's prediction fitted to that
-    budget.
+    grouped again with the sequence's tolerance, and compared with the
+    class's prediction fitted to that budget.
     """
     from sidigraph import orderings
 
     pattern = orderings._same_sign_pattern if sequence.sign_class == orderings.SAME_SIGN else orderings._mixed_pattern
     codes, tied = pattern(sequence.budget_n)
     return [
-        orderings._compare_chain(orderings.restrict(sequence, n, tie_tol), *orderings._fit(codes, tied, n))
+        orderings._compare_chain(orderings.restrict(sequence, n), *orderings._fit(codes, tied, n))
         for n in range(first_n, sequence.budget_n + 1)
     ]
 

@@ -59,6 +59,21 @@ def test_cycle_rejects_bad_args(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n", [10**400, 2**1023 + 1], ids=["10^400", "2^1023+1"])
+@pytest.mark.parametrize("which", ["--iota", "--energy"])
+def test_cycle_refuses_a_length_whose_angle_does_not_fit_a_double(capsys, n, which):
+    # 2^1023 + 1 fits a double, but it is odd, so its m = 2n does not
+    code, out, err = run_cli(capsys, "cycle", str(n), "+", which)
+    assert (code, out) == (2, "")
+    assert err == f"error: cycle length too large: m of pi/m must fit a double, got {n.bit_length()} bits\n"
+
+
+def test_cycle_takes_the_largest_length_that_fits(capsys):
+    code, out, _ = run_cli(capsys, "cycle", str(2**1023), "+", "--iota")
+    assert code == 0
+    assert out.endswith(f"  2*cot(pi/{2**1023})\n")
+
+
 # --- ordering --------------------------------------------------------------
 
 def test_ordering_csv_head(capsys):
@@ -354,6 +369,8 @@ PINNED_OUTPUT_SHA256 = {
     ("verify", "--n-max", "100"): (1, "eea60b8140efd68bca6fde628984d633f9a68bb6f3a10d3cfc75b13a843502e2"),
     # 34 FAIL lines, with both first-mismatch texts of the chain checks
     ("verify", "--n-max", "30", "--tolerance", "3.0"): (1, "aef9458bcb4d919756de040f4915c134c422829a01b415e120ff84c3b354744e"),
+    # 9 same-sign FAILs: exact ties such as 4 + 2*sqrt(2) differ in their doubles
+    ("verify", "--n-max", "30", "--tolerance", "0"): (1, "4acc5068cfb44f01d8444c8e307396c4da7b3d641300b6373fa445001270c755"),
     ("ordering", "400", "--mixed", "--include-floating", "--format", "text"): (0, "92cbec7aacf545c0265c32630944e29e3cf9f953a635176cefe430c490302543"),
     ("ordering", "400", "--same-sign", "--format", "svg"): (0, "d80eecd6b2dc135d7df84f97dcda40edc4bad7d05576377d19c1222e098f9736"),
     ("floating-pair", "200"): (0, "c6c955313cf4824a5dbfda48b568122925a389519977399314ca3a80f3749e9a"),
@@ -557,6 +574,17 @@ def test_spectrum_refuses_numbers_beyond_the_int_digit_limit(tmp_path, capsys):
     assert run_cli(capsys, "spectrum", str(path)) == (2, "", f"error: line 2: arc ({nines}, 1) out of vertex range\n")
     path.write_text(f"n 3\n1 000{nines} +1\n", encoding="utf-8")
     assert run_cli(capsys, "spectrum", str(path)) == (2, "", f"error: line 2: arc (1, {nines}) out of vertex range\n")
+
+
+def test_spectrum_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    text = format_edge_list(make_cycle(4, -1))
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    expected = run_cli(capsys, "spectrum", str(plain))
+    assert expected[0] == 0
+    assert run_cli(capsys, "spectrum", str(marked)) == expected
 
 
 def test_spectrum_missing_file(capsys):

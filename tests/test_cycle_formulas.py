@@ -103,7 +103,19 @@ def test_case_labels():
 @pytest.mark.parametrize(
     "function", [energy_cycle, iota_energy_cycle, energy_case_label, iota_case_label]
 )
-@pytest.mark.parametrize("n, sign", [(-3, 1), (0, 1), (1, -1), (4, 0), (4, 2)])
+# pi/m needs m, which is n or 2n for odd n, to fit a double
+@pytest.mark.parametrize(
+    "n, sign",
+    [
+        (-3, 1),
+        (0, 1),
+        (1, -1),
+        (4, 0),
+        (4, 2),
+        pytest.param(10**400, 1, id="10^400-1"),
+        pytest.param(2**1023 + 1, -1, id="2^1023+1--1"),
+    ],
+)
 def test_invalid_cycles_are_refused(function, n, sign):
     with pytest.raises(ValueError):
         function(n, sign)

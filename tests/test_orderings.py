@@ -176,6 +176,23 @@ def test_restrict_equals_ordering_at_smaller_budget(sign_class, exclude):
         restrict(full, 3)
 
 
+def test_restriction_keeps_the_tolerance_of_its_sequence():
+    full = ordered_sequence(30, MIXED_SIGN, tie_tol=0.5)
+    restricted = restrict(full, 20)
+    assert restricted == ordered_sequence(20, MIXED_SIGN, tie_tol=0.5)
+    assert restricted.tie_tol == 0.5
+    assert restricted.tie_groups[-1] == 5
+
+
+def test_sequences_with_other_tolerances_differ():
+    # at budget 12 both tolerances form the same groups
+    tight = ordered_sequence(12, SAME_SIGN, tie_tol=1e-12)
+    default = ordered_sequence(12, SAME_SIGN)
+    assert np.array_equal(tight.tie_groups, default.tie_groups)
+    assert tight != default
+    assert tight == ordered_sequence(12, SAME_SIGN, tie_tol=1e-12)
+
+
 def _key(pair):
     return (pair.c1.length, pair.c1.sign, pair.c2.length, pair.c2.sign)
 
@@ -198,21 +215,24 @@ def _reference_rows(budget, sign_class, exclude, tie_tol):
     return [(key, value.hex(), rank, group) for key, value, rank, group in reference]
 
 
-# a negative or NaN tie_tol (refused by the CLI, open to library callers)
-# starts a new group at every row
-@pytest.mark.parametrize("tie_tol", [0.0, 1e-9, 3.0, -1.0, math.nan])
+@pytest.mark.parametrize("tie_tol", [0.0, 1e-9, 3.0, math.inf, -1.0, math.nan])
 @pytest.mark.parametrize(
     "sign_class, exclude",
     [(SAME_SIGN, False), (MIXED_SIGN, True), (MIXED_SIGN, False)],
 )
 def test_table_ordering_matches_loop_reference(sign_class, exclude, tie_tol):
+    if not tie_tol >= 0.0:
+        # the library refuses what the CLI's --tolerance refuses
+        with pytest.raises(ValueError, match="tie tolerance must be a number >= 0"):
+            ordered_sequence(80, sign_class, exclude_floating=exclude, tie_tol=tie_tol)
+        return
     # pairs, bit-equal values, ranks and tie groups, directly and by restriction
     full = ordered_sequence(80, sign_class, exclude_floating=exclude, tie_tol=tie_tol)
     for n in range(4, 81):
         expected = _reference_rows(n, sign_class, exclude, tie_tol)
         direct = ordered_sequence(n, sign_class, exclude_floating=exclude, tie_tol=tie_tol)
         assert _table_rows(direct) == expected, n
-        assert _table_rows(restrict(full, n, tie_tol)) == expected, n
+        assert _table_rows(restrict(full, n)) == expected, n
 
 
 def test_entries_view_matches_columns():
@@ -353,12 +373,12 @@ def test_predictions_are_the_largest_one_fitted_to_each_budget():
 
 @pytest.mark.parametrize("tie_tol", [1e-9, 3.0])
 def test_chain_details_match_single_budget_checks(tie_tol):
-    same_sign = ordered_sequence(40, SAME_SIGN)
-    mixed = ordered_sequence(40, MIXED_SIGN, exclude_floating=True)
-    assert orderings.chain_details(same_sign, 4, tie_tol) == [
+    same_sign = ordered_sequence(40, SAME_SIGN, tie_tol=tie_tol)
+    mixed = ordered_sequence(40, MIXED_SIGN, exclude_floating=True, tie_tol=tie_tol)
+    assert orderings.chain_details(same_sign, 4) == [
         check_same_sign_chain(ordered_sequence(n, SAME_SIGN, tie_tol=tie_tol)) for n in range(4, 41)
     ]
-    assert orderings.chain_details(mixed, 4, tie_tol) == [
+    assert orderings.chain_details(mixed, 4) == [
         check_mixed_chain(ordered_sequence(n, MIXED_SIGN, exclude_floating=True, tie_tol=tie_tol))
         for n in range(4, 41)
     ]
@@ -370,15 +390,18 @@ def test_chain_details_match_single_budget_checks(tie_tol):
 )
 def test_chain_details_equal_the_per_budget_sweep(n_max, first_n, tie_tol):
     # one pass over the n_max table where tie groups are narrow, the sweep
-    # over every budget where they are not: a group wider than tie_tol
-    # (3.0), or groups made with another tolerance
-    for sequence_tol in {tie_tol, orderings.TIE_TOL}:
-        for sequence in (
-            ordered_sequence(n_max, SAME_SIGN, tie_tol=sequence_tol),
-            ordered_sequence(n_max, MIXED_SIGN, exclude_floating=True, tie_tol=sequence_tol),
-        ):
-            expected = reference_chain_details(sequence, first_n, tie_tol)
-            assert orderings.chain_details(sequence, first_n, tie_tol) == expected
+    # over every budget where a group is wider than tie_tol (3.0)
+    for sequence in (
+        ordered_sequence(n_max, SAME_SIGN, tie_tol=tie_tol),
+        ordered_sequence(n_max, MIXED_SIGN, exclude_floating=True, tie_tol=tie_tol),
+    ):
+        assert orderings.chain_details(sequence, first_n) == reference_chain_details(sequence, first_n)
+
+
+def test_chain_details_judge_with_the_tolerance_of_the_sequence():
+    # grouped and judged at 3.0, every budget from 22 fails
+    details = orderings.chain_details(ordered_sequence(40, SAME_SIGN, tie_tol=3.0), 22)
+    assert len(details) == 19 and all(details)
 
 
 def test_chain_details_judge_a_sequence_the_prediction_misses():
@@ -386,7 +409,7 @@ def test_chain_details_judge_a_sequence_the_prediction_misses():
     # floating-free prediction lacks, so every budget from 6 up fails
     sequence = ordered_sequence(40, MIXED_SIGN)
     details = orderings.chain_details(sequence, 4)
-    assert details == reference_chain_details(sequence, 4, orderings.TIE_TOL)
+    assert details == reference_chain_details(sequence, 4)
     assert [bool(d) for d in details] == [False, False] + [True] * 35
 
 
@@ -398,9 +421,9 @@ def test_chain_details_refuse_a_budget_below_4():
 def test_verify_restricts_no_budget_at_the_default_tolerance(monkeypatch):
     restricted = []
 
-    def recorded(sequence, budget_n, tie_tol=orderings.TIE_TOL):
+    def recorded(sequence, budget_n):
         restricted.append(budget_n)
-        return restrict(sequence, budget_n, tie_tol)
+        return restrict(sequence, budget_n)
 
     monkeypatch.setattr(orderings, "restrict", recorded)
     results = verification.run_verification(100, grid_points=10)

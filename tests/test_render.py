@@ -14,8 +14,8 @@ RENDERERS = [
 # (sign class, exclude_floating): the same-sign class and the mixed class
 # without and with its floating pairs
 FAMILIES = [(SAME_SIGN, False), (MIXED_SIGN, True), (MIXED_SIGN, False)]
-# 3.0 merges long runs into tie groups, -1.0 leaves every row its own group
-TIE_TOLERANCES = [1e-9, 3.0, -1.0]
+# 3.0 merges long runs into tie groups, 0.0 groups only bit-equal values
+TIE_TOLERANCES = [1e-9, 3.0, 0.0]
 
 
 @pytest.mark.parametrize("budget", list(range(4, 65)) + [150, 151, 399, 400])
