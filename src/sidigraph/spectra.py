@@ -10,15 +10,16 @@ certified exact for an integer matrix in two tiers: float32 steps while
 every value stays within 2^24, then float64 steps while it stays within
 2^53) ->
 simultaneous root iteration (Aberth-Ehrlich, started on the circles of the
-Newton polygon), with every polynomial value taken by blocked
-baby-step/giant-step evaluation.  Each stage refuses what it cannot vouch
-for with a RootFindingError: a non-cycle component above MAX_DIMENSION
-vertices, a trace recursion whose partial sums may pass 2^53, two root
-approximations that coincide or one that is not finite, an iteration that
-does not reach the evaluation noise floor, a residual above
-1e-10 * max(1, sum_k |c_k| |z|^k), and a root that is not finite or lies
-outside the Gershgorin disc.  `cycle_root_radii` proves approximations of
-the roots of x^n - sign by disjoint inclusion discs, with no root search.
+Newton polygon, each step on the approximations not yet converged), with
+every polynomial value read from a power table [1, z, ..., z^degree].
+Each stage refuses what it cannot vouch for with a RootFindingError: a
+non-cycle component above MAX_DIMENSION vertices, a trace recursion whose
+partial sums may pass 2^53, two root approximations that coincide or one
+that is not finite, an iteration that does not reach the evaluation noise
+floor, a residual above 1e-10 * max(1, sum_k |c_k| |z|^k), and a root that
+is not finite or lies outside the Gershgorin disc.  `cycle_root_radii`
+proves approximations of the roots of x^n - sign by disjoint inclusion
+discs, with no root search.
 """
 from __future__ import annotations
 
@@ -57,9 +58,9 @@ HULL_TOL = 1e-12
 # Iterations _aberth may take before poly_roots refuses its roots.
 MAX_ITERATIONS = 1000
 
-# Rows of z_i - z_j that one step of the Aberth sums forms at once; a block
-# of 128 rows at degree 512 is 1 MB of complex doubles, and degrees up to
-# 128 run as one block.
+# Points that one power table, and rows of z_i - z_j that one block of the
+# Aberth sums, holds at once; 128 of them at degree 512 are 1 MB of complex
+# doubles, and up to 128 points run as one block.
 SUM_BLOCK = 128
 
 
@@ -170,36 +171,39 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     return Polynomial(tuple(reversed(descending)))
 
 
-def _evaluate(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p(z) at every point of z, coefficients ascending (Paterson-Stockmeyer 1973).
+def _evaluate(
+    coeffs: np.ndarray, z: np.ndarray, with_size: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """p(z) at every point of z, coefficients ascending: coeffs times a power table.
 
-    Baby steps and giant steps: with b = round(sqrt(len(coeffs))), one
-    cumprod gives [1, z, ..., z^(b-1)] for every z, one matrix product with
-    the coefficients cut into blocks of b gives each block's inner sum, and
-    a Horner over z^b joins the blocks in about degree/b steps.  So an
-    evaluation costs about 2*sqrt(degree) numpy calls, not 2*degree.
+    One cumprod gives the table [1, z, ..., z^degree] of SUM_BLOCK points
+    at a time, z^k in row k, and one matrix product with the coefficients
+    gives their values.  coeffs is one row of coefficients or a stack of
+    rows, and the values have the shape of the stack, points last.  With
+    with_size, also returns sum_k |c_k| |z^k| of the first (or only) row,
+    the size of the terms that cancel at z, from the same table.
 
-    Rounding: the term c_k z^k, k = j*b + i, passes through at most b - 1
-    products for z^i, at most b additions in its inner sum, and j <= degree/b
-    outer steps, each a product with z^b (itself b products from z) and an
-    addition.  That is at most about degree + 3*sqrt(degree) roundings of
-    each term, so 4 * degree * eps * sum_k |c_k| |z|^k bounds the
-    evaluation error, the noise floor of _aberth.
+    Rounding: z^k is the product of z^(k-1) and z, so the term c_k z^k
+    passes through k - 1 complex products in the table, one product with
+    c_k and at most degree additions in the sum.  That is at most about
+    2 * degree roundings of each term, so 4 * degree * eps *
+    sum_k |c_k| |z|^k bounds the evaluation error, the noise floor of
+    _aberth.
     """
-    b = max(1, round(math.sqrt(len(coeffs))))
-    blocks = -(-len(coeffs) // b)
-    padded = np.zeros(blocks * b, dtype=coeffs.dtype)
-    padded[: len(coeffs)] = coeffs
-    steps = np.empty((len(z), b), dtype=z.dtype)
-    steps[:, 0] = 1.0
-    steps[:, 1:] = z[:, None]
-    powers = np.cumprod(steps, axis=1)
-    inner = powers @ padded.reshape(blocks, b).T
-    giant = powers[:, -1] * z
-    result = inner[:, -1]
-    for j in range(blocks - 2, -1, -1):
-        result = result * giant + inner[:, j]
-    return result
+    degree = coeffs.shape[-1] - 1
+    abs_c = np.abs(coeffs if coeffs.ndim == 1 else coeffs[0])
+    values = np.empty(coeffs.shape[:-1] + z.shape, dtype=np.complex128)
+    sizes = np.empty(z.shape)
+    for start in range(0, len(z), SUM_BLOCK):
+        block = slice(start, start + SUM_BLOCK)
+        table = np.empty((degree + 1, len(z[block])), dtype=np.complex128)
+        table[0] = 1.0
+        table[1:] = z[block]
+        np.cumprod(table, axis=0, out=table)
+        values[..., block] = coeffs @ table
+        if with_size:
+            sizes[block] = abs_c @ np.abs(table)
+    return (values, sizes) if with_size else values
 
 
 def _newton_polygon_start(abs_c: np.ndarray) -> np.ndarray:
@@ -235,25 +239,39 @@ def _newton_polygon_start(abs_c: np.ndarray) -> np.ndarray:
     return np.concatenate(starts)
 
 
-def _reciprocal_sums(z: np.ndarray) -> np.ndarray:
-    """sum_{j != i} 1/(z_i - z_j) for every i, SUM_BLOCK rows at a time.
+def _reciprocal_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 1/(z_i - z_j) for every i in rows, SUM_BLOCK rows at a time.
 
     Each block of differences is divided in place, so the working set stays
-    SUM_BLOCK rows wide instead of the whole degree x degree matrix; every
-    row sums the same values in the same order as unblocked, so the sums
-    are bit-identical to it.  Two equal approximations, or one that is not
-    finite, make sums that are not finite.
+    SUM_BLOCK rows wide instead of len(rows) x len(z); every row sums the
+    same values in the same order as the whole difference matrix, so the
+    sums are bit-identical to its rows.  Two equal approximations, or one
+    that is not finite, make sums that are not finite.
     """
-    n = len(z)
-    sums = np.empty_like(z)
-    for start in range(0, n, SUM_BLOCK):
-        block = z[start : start + SUM_BLOCK, None] - z
-        # row i of the block is row start + i of the matrix, whose diagonal
-        # entry sits at flat index start + i * (n + 1) of the block
-        block.ravel()[start :: n + 1] = np.inf
+    sums = np.empty(len(rows), dtype=z.dtype)
+    for start in range(0, len(rows), SUM_BLOCK):
+        chunk = rows[start : start + SUM_BLOCK]
+        block = z[chunk, None] - z
+        block[np.arange(len(chunk)), chunk] = np.inf
         np.divide(1.0, block, out=block)
         block.sum(axis=1, out=sums[start : start + SUM_BLOCK])
     return sums
+
+
+def _refusal(z: np.ndarray, iterations: int) -> RootFindingError:
+    """The refusal of approximations that coincide or are not finite."""
+    # two equal approximations would move alike and end on one root, and
+    # one that is not finite never comes back
+    if np.isfinite(z).all():
+        cause = "two root approximations coincide"
+    else:
+        cause = "a root approximation is not finite"
+    return RootFindingError(
+        f"{cause} after {iterations} iterations",
+        roots=tuple(z.tolist()),
+        residuals=(),
+        iterations=iterations,
+    )
 
 
 def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, bool]:
@@ -261,46 +279,47 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, b
 
     Starts on the circles of the Newton polygon and iterates until every
     residual |p(z)| reaches the double-precision evaluation noise floor,
-    which is the best any polishing can do.  Returns the roots, the number
-    of iterations and whether every residual reached its floor within
-    max_iterations.  Raises RootFindingError when two approximations
-    coincide or one is not finite, where the sums of 1/(z_i - z_j) break
-    down.
+    which is the best any polishing can do.  An approximation that reaches
+    its floor is frozen: it is never moved or evaluated again, and each
+    step evaluates p, p' and the floor only at the active approximations,
+    from one power table, and forms their sums of 1/(z_i - z_j) against
+    all approximations.  Returns the roots, the number of iterations and
+    whether every residual reached its floor within max_iterations.  Raises
+    RootFindingError when two approximations coincide or one is not
+    finite: an active one shows it in its sums, and a frozen one is checked
+    against all the others when it freezes (a NaN compares as converged).
     """
     degree = len(coeffs) - 1
     c = coeffs.astype(np.complex128)
-    dc = c[1:] * np.arange(1, degree + 1)
-    abs_c = np.abs(c)
+    # p' has no z^degree term, so p and p' share one power table
+    stack = np.stack([c, np.append(c[1:] * np.arange(1, degree + 1), 0.0)])
     eps = np.finfo(np.float64).eps
 
-    z = _newton_polygon_start(abs_c)
+    z = _newton_polygon_start(np.abs(c)).astype(np.complex128)
+    active = np.arange(degree)
 
     for iterations in range(1, max_iterations + 1):
-        p = _evaluate(c, z)
-        noise_floor = 4.0 * degree * eps * _evaluate(abs_c, np.abs(z))
-        active = np.abs(p) > noise_floor
-        if not active.any():
-            return z, iterations, True
-        dp = _evaluate(dc, z)
-        dp = np.where(dp == 0, eps, dp)
+        (p, dp), size = _evaluate(stack, z[active], with_size=True)
+        moving = np.abs(p) > 4.0 * degree * eps * size
+        if not moving.all():
+            # a frozen approximation gets no sums, so it is checked as it
+            # freezes: finite (a NaN compares as converged) and equal to no
+            # other approximation
+            frozen = z[active[~moving]]
+            if not np.isfinite(frozen).all() or np.count_nonzero(frozen[:, None] == z) > len(frozen):
+                raise _refusal(z, iterations - 1)
+            active = active[moving]
+            if not len(active):
+                return z, iterations, True
+            p, dp = p[moving], dp[moving]
+        dp[dp == 0] = eps
         w = p / dp
-        s = _reciprocal_sums(z)
+        s = _reciprocal_sums(z, active)
         if not np.isfinite(s).all():
-            # two equal approximations would move alike and end on one root,
-            # and one that is not finite never comes back
-            if np.isfinite(z).all():
-                cause = "two root approximations coincide"
-            else:
-                cause = "a root approximation is not finite"
-            raise RootFindingError(
-                f"{cause} after {iterations - 1} iterations",
-                roots=tuple(z.tolist()),
-                residuals=(),
-                iterations=iterations - 1,
-            )
+            raise _refusal(z, iterations - 1)
         denom = 1.0 - w * s
-        denom = np.where(denom == 0, 1.0, denom)
-        z = np.where(active, z - w / denom, z)
+        denom[denom == 0] = 1.0
+        z[active] -= w / denom
     return z, max_iterations, False
 
 
@@ -340,8 +359,9 @@ def poly_roots(p: Polynomial) -> tuple[complex, ...]:
         nonzero, iterations, converged = _aberth(reduced, MAX_ITERATIONS)
 
     roots = np.concatenate([np.zeros(n_zero, dtype=np.complex128), nonzero])
-    residuals = np.abs(_evaluate(coeffs.astype(np.complex128), roots))
-    bounds = RESIDUAL_TOL * np.maximum(1.0, _evaluate(np.abs(coeffs), np.abs(roots)))
+    values, sizes = _evaluate(coeffs, roots, with_size=True)
+    residuals = np.abs(values)
+    bounds = RESIDUAL_TOL * np.maximum(1.0, sizes)
     # written so that a NaN residual or bound fails the contract
     if not converged or not np.all(residuals <= bounds):
         # argmax puts a NaN ratio first, so the root of a NaN residual is named

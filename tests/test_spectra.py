@@ -23,6 +23,7 @@ from sidigraph import (
     make_cycle,
     make_path,
     poly_roots,
+    strong_components,
 )
 from sidigraph import spectra
 from oracles import (
@@ -263,17 +264,10 @@ def test_poly_roots_of_collinear_hull_polynomial_match_lapack():
 @pytest.mark.parametrize(
     "first, message",
     [
-        # 1 / (z_i - z_j) and p / p' of a NaN warn before the refusal
-        pytest.param(
-            1j,
-            "two root approximations coincide after 0 iterations",
-            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
-        ),
-        pytest.param(
-            np.nan,
-            "a root approximation is not finite after 0 iterations",
-            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
-        ),
+        # 1j, -1 and the NaN freeze at the first step and are refused there,
+        # before any division by z_i - z_j or by p'
+        (1j, "two root approximations coincide after 0 iterations"),
+        (np.nan, "a root approximation is not finite after 0 iterations"),
     ],
 )
 def test_aberth_refuses_coinciding_or_non_finite_approximations(monkeypatch, first, message):
@@ -288,14 +282,49 @@ def test_aberth_refuses_coinciding_or_non_finite_approximations(monkeypatch, fir
     assert exc.value.iterations == 0
 
 
+@pytest.mark.parametrize(
+    "starts, message",
+    [
+        # every approximation is a root of x^4 - 1, so all freeze at once and
+        # no sums are formed; the root +1 was lost without a refusal
+        pytest.param([1j, 1j, -1.0, -1j], "two root approximations coincide after 0 iterations", id="frozen"),
+        pytest.param([np.nan, 1j, -1.0, -1j], "a root approximation is not finite after 0 iterations", id="nan-frozen"),
+        # no approximation is a root, so the pair shows in the sums, with a
+        # RuntimeWarning of the division by zero before the refusal
+        pytest.param(
+            [0.5, 0.5, 2.0, 3j],
+            "two root approximations coincide after 0 iterations",
+            id="moving",
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+        ),
+    ],
+)
+def test_aberth_refuses_coinciding_approximations_frozen_or_moving(monkeypatch, starts, message):
+    monkeypatch.setattr(spectra, "_newton_polygon_start", lambda abs_c: np.array(starts, dtype=np.complex128))
+    with pytest.raises(RootFindingError, match=message) as exc:
+        poly_roots(Polynomial((-1.0, 0.0, 0.0, 0.0, 1.0)))
+    assert len(exc.value.roots) == 4
+    assert exc.value.residuals == ()
+    assert exc.value.iterations == 0
+
+
 @pytest.mark.parametrize("degree", [127, 128, 129, 300])
 def test_reciprocal_sums_are_bit_identical_to_the_whole_matrix(degree):
-    # degrees up to SUM_BLOCK run as one block, larger ones in row blocks
+    # each row of the sums is the same row of the whole difference matrix,
+    # for all rows and for subsets; more than SUM_BLOCK rows span a block
+    # boundary, as do 129 of degree 129 and 200 of degree 300
     rng = np.random.default_rng(degree)
-    z = rng.normal(size=degree) + 1j * rng.normal(size=degree)
-    assert np.array_equal(spectra._reciprocal_sums(z), unblocked_reciprocal_sums(z))
+    random_points = rng.normal(size=degree) + 1j * rng.normal(size=degree)
     starts = spectra._newton_polygon_start(np.r_[1.0, np.zeros(degree - 1), 1.0])
-    assert np.array_equal(spectra._reciprocal_sums(starts), unblocked_reciprocal_sums(starts))
+    subsets = [
+        np.arange(degree),
+        np.sort(rng.choice(degree, size=2 * degree // 3, replace=False)),
+        np.arange(degree - 5, degree),
+    ]
+    for z in (random_points, starts):
+        whole = unblocked_reciprocal_sums(z)
+        for rows in subsets:
+            assert np.array_equal(spectra._reciprocal_sums(z, rows), whole[rows])
 
 
 @pytest.mark.parametrize("degree", [128, 200])
@@ -639,6 +668,17 @@ def test_dense_component_refused_or_right(seed):
         values = eigenvalues(g)
     except RootFindingError:
         return
+    z = np.linalg.eigvals(adjacency_matrix(g).astype(np.float64))
+    assert iota_energy(values) == pytest.approx(np.abs(z.imag).sum(), abs=1e-6)
+    assert energy(values) == pytest.approx(np.abs(z.real).sum(), abs=1e-6)
+
+
+def test_sparse_component_above_one_sum_block_matches_lapack():
+    # 256 vertices with 1.3 arcs each: while more than SUM_BLOCK roots are
+    # active, the power tables and sums of an Aberth step run in two blocks
+    g = dense_scc(0, 256, round(1.3 * 256))
+    assert len(strong_components(g)) == 1
+    values = eigenvalues(g)
     z = np.linalg.eigvals(adjacency_matrix(g).astype(np.float64))
     assert iota_energy(values) == pytest.approx(np.abs(z.imag).sum(), abs=1e-6)
     assert energy(values) == pytest.approx(np.abs(z.real).sum(), abs=1e-6)
