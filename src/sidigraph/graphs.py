@@ -37,15 +37,14 @@ class SignedDigraph:
         if self.n_vertices < 1:
             raise ValueError("a signed digraph needs at least one vertex")
         arcs = tuple(sorted((int(t), int(h), check_sign(s)) for t, h, s in self.arcs))
-        seen: set[tuple[int, int]] = set()
-        for tail, head, _sign in arcs:
+        # sorted, a repeated (tail, head) directly follows its first copy
+        for i, (tail, head, _sign) in enumerate(arcs):
             if not (0 <= tail < self.n_vertices and 0 <= head < self.n_vertices):
                 raise ValueError(f"arc ({tail}, {head}) out of vertex range")
             if tail == head:
                 raise ValueError(f"self-loop at vertex {tail} not allowed")
-            if (tail, head) in seen:
+            if i and arcs[i - 1][:2] == (tail, head):
                 raise ValueError(f"duplicate arc ({tail}, {head})")
-            seen.add((tail, head))
         object.__setattr__(self, "arcs", arcs)
 
     @property

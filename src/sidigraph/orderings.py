@@ -333,32 +333,25 @@ def _fit(codes: np.ndarray, tied: np.ndarray, budget_n: int) -> tuple[np.ndarray
 
 
 def _same_sign_pattern(budget_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and tie flags of the same-sign prediction, see predicted_same_sign_chain."""
+    """Rows and tie flags of the same-sign prediction, see predicted_same_sign_chain.
+
+    The same-sign family of totals 20 to max(22, budget), less its (+,+)
+    rows of total 20, by (block descending, place ascending), then the
+    written-out tail.  A row's block is its total, but (C_2^+, C_T^+) and
+    (C_4^+, C_{T-2}^+) sit in block T.  Its place is l1 for a (-,-) row, 3
+    for (C_4^+), the block for (C_2^+) and 2*block - l1 for the other (+,+)
+    rows: (2)-, (4)+, the other (-,-) rows outward, (2)+, the other (+,+)
+    rows inward.
+    """
     _check_budget(budget_n)
-    top = max(budget_n - budget_n % 2, 22)
-    rows: list[tuple[int, int, int, int, bool]] = []
-
-    def neg(m: int, total: int) -> tuple[int, int, int, int, bool]:
-        return m, -1, total - m, -1, False
-
-    def pos(m: int, total: int) -> tuple[int, int, int, int, bool]:
-        return m, 1, total - m, 1, False
-
-    rows.extend(neg(m, top) for m in range(2, _center(top) + 1, 2))
-    rows.extend(pos(m, top) for m in range(_center(top), 5, -2))
-    for total in range(top - 2, 21, -2):
-        rows.append(neg(2, total))
-        rows.append(pos(4, total + 2))
-        rows.extend(neg(m, total) for m in range(4, _center(total) + 1, 2))
-        rows.append(pos(2, total + 2))
-        rows.extend(pos(m, total) for m in range(_center(total), 5, -2))
-    rows.append(neg(2, 20))
-    rows.append(pos(4, 22))
-    rows.extend(neg(m, 20) for m in range(4, 11, 2))
-    rows.append(pos(2, 22))
-    rows.extend(_SAME_SIGN_SMALL_ORDER)
-    table = _table(rows, width=5)
-    return _fit(table[:, :4], table[:, 4].astype(bool), budget_n)
+    codes = _family_table(SAME_SIGN, np.arange(20, max(budget_n - budget_n % 2, 22) + 1, 2))
+    codes = codes[(codes[:, 1] < 0) | (codes[:, 0] + codes[:, 2] > 20)]
+    l1, negative = codes[:, 0], codes[:, 1] < 0
+    block = l1 + codes[:, 2] - 2 * (~negative & (l1 <= 4))
+    place = np.select([negative, l1 == 2, l1 == 4], [l1, block, 3], 2 * block - l1)
+    tail = np.array(_SAME_SIGN_SMALL_ORDER)
+    rows = np.concatenate([codes[np.lexsort((place, -block))], tail[:, :4]])
+    return _fit(rows, np.r_[np.zeros(len(codes), dtype=bool), tail[:, 4] == 1], budget_n)
 
 
 def predicted_same_sign_chain(budget_n: int) -> list[tuple[CyclePair, bool]]:

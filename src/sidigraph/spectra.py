@@ -171,17 +171,15 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     return Polynomial(tuple(reversed(descending)))
 
 
-def _evaluate(
-    coeffs: np.ndarray, z: np.ndarray, with_size: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def _evaluate(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p(z) at every point of z, coefficients ascending: coeffs times a power table.
 
     One cumprod gives the table [1, z, ..., z^degree] of SUM_BLOCK points
     at a time, z^k in row k, and one matrix product with the coefficients
     gives their values.  coeffs is one row of coefficients or a stack of
-    rows, and the values have the shape of the stack, points last.  With
-    with_size, also returns sum_k |c_k| |z^k| of the first (or only) row,
-    the size of the terms that cancel at z, from the same table.
+    rows, and the values have the shape of the stack, points last.  Returns
+    (values, sizes): sizes holds sum_k |c_k| |z^k| of the first (or only)
+    row, the size of the terms that cancel at z, from the same table.
 
     Rounding: z^k is the product of z^(k-1) and z, so the term c_k z^k
     passes through k - 1 complex products in the table, one product with
@@ -201,9 +199,8 @@ def _evaluate(
         table[1:] = z[block]
         np.cumprod(table, axis=0, out=table)
         values[..., block] = coeffs @ table
-        if with_size:
-            sizes[block] = abs_c @ np.abs(table)
-    return (values, sizes) if with_size else values
+        sizes[block] = abs_c @ np.abs(table)
+    return values, sizes
 
 
 def _newton_polygon_start(abs_c: np.ndarray) -> np.ndarray:
@@ -299,7 +296,7 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, b
     active = np.arange(degree)
 
     for iterations in range(1, max_iterations + 1):
-        (p, dp), size = _evaluate(stack, z[active], with_size=True)
+        (p, dp), size = _evaluate(stack, z[active])
         moving = np.abs(p) > 4.0 * degree * eps * size
         if not moving.all():
             # a frozen approximation gets no sums, so it is checked as it
@@ -359,7 +356,7 @@ def poly_roots(p: Polynomial) -> tuple[complex, ...]:
         nonzero, iterations, converged = _aberth(reduced, MAX_ITERATIONS)
 
     roots = np.concatenate([np.zeros(n_zero, dtype=np.complex128), nonzero])
-    values, sizes = _evaluate(coeffs, roots, with_size=True)
+    values, sizes = _evaluate(coeffs, roots)
     residuals = np.abs(values)
     bounds = RESIDUAL_TOL * np.maximum(1.0, sizes)
     # written so that a NaN residual or bound fails the contract

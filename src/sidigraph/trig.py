@@ -15,6 +15,8 @@ failure detail, "" on a pass.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 ADJACENT_SLACK = 1e-12
@@ -22,11 +24,18 @@ ADJACENT_SLACK = 1e-12
 MAX_GRID_POINTS = 1_000_000
 
 
-def _check_pair_domain(x, n) -> None:
+def _check_total(n) -> None:
+    if not (isinstance(n, numbers.Real) and -np.inf < n < np.inf):
+        raise ValueError(f"total must be a finite number, got {n!r}")
     if n <= 4:
         raise ValueError(f"total must exceed 4, got {n}")
+
+
+def _check_pair_domain(x, n) -> None:
+    _check_total(n)
     x = np.asarray(x)
-    if np.any(x < 2) or np.any(x > n - 2):
+    # written so that a NaN x fails
+    if not np.all((x >= 2) & (x <= n - 2)):
         raise ValueError(f"x must lie in [2, {n - 2}]")
 
 
@@ -51,8 +60,10 @@ def f_csc_cot(x, n):
 def f_inv_sq_csc(x, n=None):
     """(pi/x^2) * csc(pi/x)^2 for x >= 2; decreasing, limit 1/pi."""
     x = np.asarray(x)
-    if np.any(x < 2):
+    if not np.all(x >= 2):
         raise ValueError("x must be >= 2")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     return (np.pi / x**2) / np.sin(np.pi / x) ** 2
 
 
@@ -91,8 +102,8 @@ def certify_monotone(
         raise ValueError(f"direction must be increasing or decreasing, got {direction!r}")
     check_grid_points(grid_points)
     lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError(f"empty interval ({lo}, {hi})")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"empty or infinite interval ({lo}, {hi})")
     xs = np.linspace(lo, hi, grid_points)
     ys = np.asarray(FUNCTIONS[function_id](xs, n), dtype=np.float64)
     diffs = np.diff(ys)
@@ -107,8 +118,7 @@ def certify_monotone(
 
 def monotonicity_claims(n: int) -> list[tuple[str, tuple[float, float], str]]:
     """The standard monotone stretches for a given even total n > 4."""
-    if n <= 4:
-        raise ValueError(f"total must exceed 4, got {n}")
+    _check_total(n)
     half = n / 2.0
     return [
         ("cot_cot", (2.0, half), "increasing"),

@@ -3,12 +3,13 @@
 Nothing here shares code with the package paths under test: the
 characteristic polynomial comes from exact cofactor expansion over integer
 polynomials, component partitions from a reachability matrix, pair families
-from a direct double loop, polynomial values from rational arithmetic.  Two
+from a direct double loop, polynomial values from rational arithmetic.  The
 exceptions are earlier forms of package code that the current forms must
 reproduce bit for bit: `float_trace_recursion`, the step-by-step form of
 `char_poly`; `unblocked_reciprocal_sums`, the whole-matrix form of the
 Aberth sums; `reference_chain_details`, the per-budget sweep of
 `chain_details`, which calls the package's per-budget check;
+`reference_same_sign_pattern`, the row builder of the same-sign prediction;
 `reference_csv`, `reference_text` and `reference_svg`, the row-by-row
 renderers, which read an OrderingSequence's columns; and
 `reference_strong_components`, which cuts each component out of the whole
@@ -345,6 +346,42 @@ def reference_chain_details(sequence, first_n: int) -> list[str]:
         orderings._compare_chain(orderings.restrict(sequence, n), *orderings._fit(codes, tied, n))
         for n in range(first_n, sequence.budget_n + 1)
     ]
+
+
+def reference_same_sign_pattern(budget_n: int):
+    """orderings._same_sign_pattern by the row builder it replaced.
+
+    Lists the prediction block by block in Python, as predicted_same_sign_chain
+    states it, and fits it to the budget; reads the written-out tail and
+    the small helpers from the package.
+    """
+    from sidigraph.orderings import _SAME_SIGN_SMALL_ORDER, _center, _check_budget, _fit, _table
+
+    _check_budget(budget_n)
+    top = max(budget_n - budget_n % 2, 22)
+    rows: list[tuple[int, int, int, int, bool]] = []
+
+    def neg(m: int, total: int) -> tuple[int, int, int, int, bool]:
+        return m, -1, total - m, -1, False
+
+    def pos(m: int, total: int) -> tuple[int, int, int, int, bool]:
+        return m, 1, total - m, 1, False
+
+    rows.extend(neg(m, top) for m in range(2, _center(top) + 1, 2))
+    rows.extend(pos(m, top) for m in range(_center(top), 5, -2))
+    for total in range(top - 2, 21, -2):
+        rows.append(neg(2, total))
+        rows.append(pos(4, total + 2))
+        rows.extend(neg(m, total) for m in range(4, _center(total) + 1, 2))
+        rows.append(pos(2, total + 2))
+        rows.extend(pos(m, total) for m in range(_center(total), 5, -2))
+    rows.append(neg(2, 20))
+    rows.append(pos(4, 22))
+    rows.extend(neg(m, 20) for m in range(4, 11, 2))
+    rows.append(pos(2, 22))
+    rows.extend(_SAME_SIGN_SMALL_ORDER)
+    table = _table(rows, width=5)
+    return _fit(table[:, :4], table[:, 4].astype(bool), budget_n)
 
 
 # --- renderers -----------------------------------------------------------------

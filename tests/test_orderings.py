@@ -33,6 +33,7 @@ from oracles import (
     reference_extremes,
     reference_minimum_tie_group,
     reference_ordering,
+    reference_same_sign_pattern,
 )
 
 
@@ -369,6 +370,15 @@ def test_predictions_are_the_largest_one_fitted_to_each_budget():
             previous_kept = kept
         assert predicted_same_sign_chain(n) == fitted, n
         assert predicted_mixed_chain(n) == [p for p in mixed if p.total_length <= n], n
+
+
+def test_same_sign_pattern_equals_the_row_builder():
+    # the sorted family and the block-by-block row list, rows and tie flags
+    for n in list(range(4, 201)) + list(range(397, 401)) + list(range(997, 1001)):
+        codes, tied = orderings._same_sign_pattern(n)
+        expected_codes, expected_tied = reference_same_sign_pattern(n)
+        assert np.array_equal(codes, expected_codes), n
+        assert np.array_equal(tied, expected_tied), n
 
 
 @pytest.mark.parametrize("tie_tol", [1e-9, 3.0])

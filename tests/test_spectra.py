@@ -368,7 +368,7 @@ def polynomials_and_points(draw):
 def test_blocked_evaluation_within_noise_floor(case):
     coeffs, z = case
     degree = len(coeffs) - 1
-    value = spectra._evaluate(np.array(coeffs, dtype=np.complex128), np.array([z]))[0]
+    value = spectra._evaluate(np.array(coeffs, dtype=np.complex128), np.array([z]))[0][0]
     re, im = exact_poly_value(coeffs, z)
     error_squared = (Fraction(value.real) - re) ** 2 + (Fraction(value.imag) - im) ** 2
     floor = 4.0 * degree * np.finfo(np.float64).eps * math.fsum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))

@@ -33,14 +33,59 @@ def test_point_values():
 
 
 def test_domain_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x must lie in \[2, 8\]$"):
         f_cot_cot(1.5, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x must lie in \[2, 8\]$"):
         f_csc_csc(9, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^total must exceed 4, got 4$"):
         f_csc_cot(2, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^x must be >= 2$"):
         f_inv_sq_csc(1.0)
+    with pytest.raises(ValueError, match="^total must exceed 4, got 3.5$"):
+        monotonicity_claims(3.5)
+
+
+PAIR_FUNCTIONS = [f_cot_cot, f_csc_csc, f_csc_cot]
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, None])
+@pytest.mark.parametrize("f", PAIR_FUNCTIONS)
+def test_pair_functions_refuse_totals_that_are_not_finite_numbers(f, n):
+    with pytest.raises(ValueError, match="^total must be a finite number, got "):
+        f(3.0, n)
+
+
+@pytest.mark.parametrize("f", PAIR_FUNCTIONS)
+def test_pair_functions_refuse_nan_x(f):
+    with pytest.raises(ValueError, match=r"^x must lie in \[2, 8\]$"):
+        f(math.nan, 10)
+    with pytest.raises(ValueError, match=r"^x must lie in \[2, 8\]$"):
+        f([3.0, math.nan, 5.0], 10)
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [(math.nan, ">= 2"), ([2.0, math.nan], ">= 2"), (math.inf, "finite"), ([3.0, math.inf], "finite")],
+)
+def test_inv_sq_csc_refuses_non_finite_x(x, message):
+    with pytest.raises(ValueError, match=f"^x must be {message}$"):
+        f_inv_sq_csc(x)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, None])
+def test_non_finite_totals_are_refused_not_certified(n):
+    with pytest.raises(ValueError, match="^total must be a finite number, got "):
+        certify_monotone("csc_csc", n, (2.0, 3.0), "decreasing")
+    with pytest.raises(ValueError, match="^total must be a finite number, got "):
+        monotonicity_claims(n)
+    # inv_sq_csc ignores n
+    assert certify_monotone("inv_sq_csc", n, (2.0, 3.0), "decreasing") == ""
+
+
+@pytest.mark.parametrize("interval", [(2.0, math.inf), (-math.inf, 3.0), (math.nan, 3.0)])
+def test_certify_monotone_refuses_non_finite_interval_ends(interval):
+    with pytest.raises(ValueError, match=r"^empty or infinite interval \("):
+        certify_monotone("inv_sq_csc", None, interval, "decreasing")
 
 
 @pytest.mark.parametrize("n", range(6, 41, 2))
@@ -73,7 +118,7 @@ def test_certify_monotone_validation():
         certify_monotone("nope", 10, (2, 5), "decreasing")
     with pytest.raises(ValueError):
         certify_monotone("csc_csc", 10, (2, 5), "sideways")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^empty or infinite interval \(5.0, 2.0\)$"):
         certify_monotone("csc_csc", 10, (5, 2), "decreasing")
     with pytest.raises(ValueError, match="^grid needs at least two points$"):
         certify_monotone("csc_csc", 10, (2, 5), "decreasing", 1)
