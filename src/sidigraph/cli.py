@@ -105,9 +105,7 @@ def _cmd_floating_pair(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verification.run_verification(
-        args.n_max, tie_tol=args.tolerance, grid_points=args.grid_points
-    )
+    results = verification.run_verification(args.n_max, tie_tol=args.tolerance)
     failures = [r for r in results if not r.passed]
     for r in results:
         if r.passed:
@@ -195,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full consistency suite")
     p_verify.add_argument("--n-max", type=int, default=30)
     p_verify.add_argument("--tolerance", type=_tolerance, default=orderings.TIE_TOL)
-    p_verify.add_argument("--grid-points", type=int, default=10000)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues and energies of an edge-list file")

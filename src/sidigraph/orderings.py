@@ -546,7 +546,9 @@ def splice_gap(n: int) -> float:
 
     The (C_6^+, C_{n-6}^+) > (C_2^-, C_{n-4}^-) step of the same-sign
     pattern holds exactly when this gap stays below 2*sqrt(3) - 2; the gap
-    decreases in n and is about 1.463 at n = 22.
+    is about 1.463 at n = 22 and decreases for every real n >= 22: its
+    derivative is 2[G(n-4) - q(n-6)] < 0, as pi*G < 1 < pi*q by lemmas A
+    and B of `trig`.
     """
     if n < 22 or n % 2 != 0:
         raise ValueError(f"splice gap is defined for even n >= 22, got {n}")

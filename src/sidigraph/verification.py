@@ -2,7 +2,8 @@
 
 Runs every applicable consistency check for budgets up to n_max: ordering
 patterns against the numeric sort, block splice inequalities, floating-pair
-brackets, grid monotonicity, the cycle closed forms against the roots of
+brackets, monotone stretches against those that lemmas A and B of `trig`
+prove for every total, the cycle closed forms against the roots of
 x^n - sign, proven by inclusion discs around their analytic approximations,
 and extremal identification.  Each check is a name and its failure detail,
 "" on a pass; failures are collected, not raised.
@@ -38,17 +39,10 @@ class CheckResult:
         return not self.detail
 
 
-def run_verification(
-    n_max: int,
-    tie_tol: float = orderings.TIE_TOL,
-    grid_points: int = 10000,
-) -> list[CheckResult]:
+def run_verification(n_max: int, tie_tol: float = orderings.TIE_TOL) -> list[CheckResult]:
     """Every applicable check for budgets up to n_max, in a fixed order."""
     if n_max < 4:
         raise ValueError(f"n_max must be >= 4, got {n_max}")
-    # Refuse up front what the grid check would refuse only after every
-    # earlier check has run.
-    trig.check_grid_points(grid_points)
     if n_max > orderings.MAX_BUDGET:
         raise ValueError(f"n_max must be <= {orderings.MAX_BUDGET}, got {n_max}")
     results: list[CheckResult] = []
@@ -71,12 +65,8 @@ def run_verification(
             results.append(CheckResult(f"floating-pair bracket n={n}", mismatch))
     for n in range(6, n_max + 1, 2):
         for function_id, interval, direction in trig.monotonicity_claims(n):
-            results.append(
-                CheckResult(
-                    f"monotone {function_id} [{interval[0]:g},{interval[1]:g}] n={n}",
-                    trig.certify_monotone(function_id, n, interval, direction, grid_points),
-                )
-            )
+            name = f"monotone {function_id} [{interval[0]:g},{interval[1]:g}] n={n}"
+            results.append(CheckResult(name, trig._verdict(function_id, n, *interval, direction)))
     for n in range(2, n_max + 1):
         for sign in (1, -1):
             name = f"cycle closed form vs spectrum n={n} sign={'+' if sign > 0 else '-'}"

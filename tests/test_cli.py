@@ -233,7 +233,7 @@ def test_floating_pair_beyond_table(capsys):
 # --- verify ------------------------------------------------------------------
 
 def test_verify_small_budget_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--n-max", "12", "--grid-points", "1000")
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "12")
     assert code == 0
     assert "checks passed" in out
     assert "FAIL" not in out
@@ -243,13 +243,13 @@ def test_verify_small_budget_passes(capsys):
 
 
 def test_verify_exit_zero_through_46(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--n-max", "46", "--grid-points", "500")
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "46")
     assert code == 0
     assert "FAIL" not in out
 
 
 def test_verify_default_and_n_max_30(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--n-max", "30", "--grid-points", "500")
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "30")
     assert code == 0
     assert "same-sign chain n=30" in out
 
@@ -257,7 +257,7 @@ def test_verify_default_and_n_max_30(capsys):
 def test_verify_tolerance_flag_is_wired(capsys):
     # a coarse tie tolerance merges genuinely distinct values, which the
     # chain checks must then report as unexpected ties
-    code, out, _ = run_cli(capsys, "verify", "--n-max", "6", "--tolerance", "3.0", "--grid-points", "500")
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "6", "--tolerance", "3.0")
     assert code == 1
     assert "FAIL" in out
 
@@ -265,7 +265,7 @@ def test_verify_tolerance_flag_is_wired(capsys):
 def test_verify_reports_bracket_defect_at_48(capsys):
     # the tabulated floating-pair band overshoots (true band ends at 46);
     # verify must report exactly that one mismatch and exit 1
-    code, out, _ = run_cli(capsys, "verify", "--n-max", "48", "--grid-points", "500")
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "48")
     assert code == 1
     failing = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(failing) == 1
@@ -291,15 +291,37 @@ def test_verify_prints_failing_monotone_and_cycle_details(capsys, monkeypatch):
 
     monkeypatch.setattr(trig, "monotonicity_claims", flipped)
     monkeypatch.setattr(verification, "cycle_eigenvalues", scaled)
-    code, out, _ = run_cli(capsys, "verify", "--n-max", "8", "--grid-points", "50")
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "8")
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        "FAIL monotone csc_csc [2,3] n=6: worst adjacent difference -0.0111",
-        "FAIL monotone csc_csc [2,4] n=8: worst adjacent difference -0.0237",
+        "FAIL monotone csc_csc [2,3] n=6: not proven (lemma B: decreasing on [2,3])",
+        "FAIL monotone csc_csc [2,4] n=8: not proven (lemma B: decreasing on [2,4])",
         "FAIL cycle closed form vs spectrum n=5 sign=+: difference 0.00324 + root bound 0.025",
         "FAIL cycle closed form vs spectrum n=5 sign=-: difference 0.00324 + root bound 0.025",
     ]
     assert "30/34 checks passed" in out.splitlines()
+
+
+def test_verify_fails_every_monotone_check_on_a_broken_lemma(capsys, monkeypatch):
+    # 1/12 in place of the Taylor coefficient 1/120 of sin u <= u - u^3/6 + u^5/120
+    monkeypatch.setattr(trig, "SIN_ABOVE", ("0", "1", "0", "-1/6", "0", "1/12"))
+    trig._lemma_failure.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "8")
+    finally:
+        trig._lemma_failure.cache_clear()
+    assert code == 1
+    checks = [line for line in out.splitlines() if line.startswith(("ok   ", "FAIL "))]
+    failing = [line for line in checks if line.startswith("FAIL")]
+    assert failing == [line for line in checks if line[5:].startswith("monotone ")]
+    assert len(failing) == 10
+    assert all(": lemma B unproven: " in line for line in failing)
+
+
+def test_verify_has_no_grid_points_option(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n-max", "8", "--grid-points", "50")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --grid-points 50" in err
 
 
 @pytest.mark.parametrize(
@@ -330,12 +352,10 @@ def test_ordering_commands_take_budget_1000(tmp_path, capsys):
     [
         # the cap names the argument (it used to print 513 for any n_max)
         (["verify", "--n-max", "1001"], "n_max must be <= 1000, got 1001"),
-        (["verify", "--n-max", "200", "--grid-points", "1"], "grid needs at least two points"),
-        (["verify", "--n-max", "200", "--grid-points", "1000001"], "grid needs at most 1000000 points, got 1000001"),
     ],
 )
 def test_verify_refuses_unsupported_arguments_before_any_check(capsys, argv, message):
-    # both used to fail only after every ordering check had run
+    # it used to fail only after every ordering check had run
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0

@@ -436,7 +436,7 @@ def test_verify_restricts_no_budget_at_the_default_tolerance(monkeypatch):
         return restrict(sequence, budget_n)
 
     monkeypatch.setattr(orderings, "restrict", recorded)
-    results = verification.run_verification(100, grid_points=10)
+    results = verification.run_verification(100)
     assert restricted == []
     assert sum(r.name.startswith(("same-sign chain", "mixed chain")) for r in results) == 79 + 95
 
@@ -451,7 +451,7 @@ def test_verify_builds_each_prediction_once(monkeypatch):
             return builder(budget_n)
 
         monkeypatch.setattr(orderings, name, counted)
-    results = verification.run_verification(30, grid_points=10)
+    results = verification.run_verification(30)
     assert calls == {"_same_sign_pattern": 1, "_mixed_pattern": 1}
     assert sum(r.name.startswith(("same-sign chain", "mixed chain")) for r in results) == 9 + 25
 
@@ -481,7 +481,7 @@ def test_verify_roots_x_to_the_n_minus_sign_without_char_poly(monkeypatch):
         return certify(n, sign, approximations)
 
     monkeypatch.setattr(verification, "cycle_root_radii", recorded)
-    results = verification.run_verification(30, grid_points=10)
+    results = verification.run_verification(30)
     assert all(r.passed for r in results)
     names = "\n".join(r.name for r in results).encode("utf-8")
     # the 213 check names of n_max 30, the same on either route
