@@ -203,20 +203,16 @@ def _tie_break_keys(codes: np.ndarray) -> tuple[np.ndarray, ...]:
     return n_positive, codes[:, 0], -(codes[:, 0] + codes[:, 2])
 
 
-def _by_value(codes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Stable order by (value descending, tie-break key)."""
-    return np.lexsort(_tie_break_keys(codes) + (-values,))
-
-
 def _sorted(
     budget_n: int, sign_class: str, codes: np.ndarray, values: np.ndarray, tie_tol: float
 ) -> OrderingSequence:
     """Sort a table descending and chain values within tie_tol into tie groups.
 
     A group continues while the step down from the previous value is
-    <= tie_tol.  Inside a group rows are ordered by the tie-break key.
+    <= tie_tol.  Inside a group rows are ordered by the tie-break key, the
+    one sort that reads it; rows with equal keys keep their value order.
     """
-    order = _by_value(codes, values)
+    order = np.argsort(-values, kind="stable")
     codes, values = codes[order], values[order]
     starts = np.ones(len(values), dtype=bool)
     starts[1:] = values[:-1] - values[1:] > tie_tol
@@ -650,7 +646,7 @@ def _extremes(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     _check_budget(n_max)
     codes = np.concatenate([_family(n_max, SAME_SIGN), _family(n_max, MIXED_SIGN)])
     values = _values(codes)
-    order = _by_value(codes, values)
+    order = np.lexsort(_tie_break_keys(codes) + (-values,))
     codes, values = codes[order], values[order]
     totals = codes[:, 0] + codes[:, 2]
     positions = np.arange(len(totals))

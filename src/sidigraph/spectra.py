@@ -9,9 +9,12 @@ adjacency matrix -> monic characteristic polynomial (trace recursion,
 certified exact for an integer matrix in two tiers: float32 steps while
 every value stays within 2^24, then float64 steps while it stays within
 2^53) ->
-simultaneous root iteration (Aberth-Ehrlich, started on the circles of the
-Newton polygon, each step on the approximations not yet converged), with
-every polynomial value read from a power table [1, z, ..., z^degree].
+exact deflation of the roots at zero, one per low coefficient that is
+exactly 0 -> simultaneous root iteration (Aberth-Ehrlich, started on the
+circles of the Newton polygon, each step on the approximations not yet
+converged), with every polynomial value read from one power table
+[1, z, ..., z^degree] of all the points it needs and the sums of
+1/(z_i - z_j) from one matrix of differences.
 Each stage refuses what it cannot vouch for with a RootFindingError: a
 non-cycle component above MAX_DIMENSION vertices, a trace recursion whose
 partial sums may pass 2^53, two root approximations that coincide or one
@@ -32,10 +35,11 @@ import numpy as np
 
 from .graphs import SignedDigraph, adjacency_matrix, strong_components
 
-# Largest matrix char_poly accepts; eigenvalues refuses a larger strong
-# component unless it is a cycle.  Below it, char_poly returns only
-# coefficients it has certified exact for an integer matrix; a recursion
-# whose partial sums may pass 2^53 raises RootFindingError instead.
+# Largest matrix char_poly and largest degree poly_roots accept; eigenvalues
+# refuses a larger strong component unless it is a cycle.  Below it,
+# char_poly returns only coefficients it has certified exact for an integer
+# matrix; a recursion whose partial sums may pass 2^53 raises
+# RootFindingError instead.
 MAX_DIMENSION = 512
 
 # Every integer of magnitude at most 2^53 is a double, and so is every sum
@@ -57,11 +61,6 @@ HULL_TOL = 1e-12
 
 # Iterations _aberth may take before poly_roots refuses its roots.
 MAX_ITERATIONS = 1000
-
-# Points that one power table, and rows of z_i - z_j that one block of the
-# Aberth sums, holds at once; 128 of them at degree 512 are 1 MB of complex
-# doubles, and up to 128 points run as one block.
-SUM_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -174,10 +173,10 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
 def _evaluate(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p(z) at every point of z, coefficients ascending: coeffs times a power table.
 
-    One cumprod gives the table [1, z, ..., z^degree] of SUM_BLOCK points
-    at a time, z^k in row k, and one matrix product with the coefficients
-    gives their values.  coeffs is one row of coefficients or a stack of
-    rows, and the values have the shape of the stack, points last.  Returns
+    One cumprod gives the table [1, z, ..., z^degree] of all the points,
+    z^k in row k, and one matrix product with the coefficients gives their
+    values.  coeffs is one row of coefficients or a stack of rows, and the
+    values have the shape of the stack, points last.  Returns
     (values, sizes): sizes holds sum_k |c_k| |z^k| of the first (or only)
     row, the size of the terms that cancel at z, from the same table.
 
@@ -188,19 +187,12 @@ def _evaluate(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     sum_k |c_k| |z|^k bounds the evaluation error, the noise floor of
     _aberth.
     """
-    degree = coeffs.shape[-1] - 1
     abs_c = np.abs(coeffs if coeffs.ndim == 1 else coeffs[0])
-    values = np.empty(coeffs.shape[:-1] + z.shape, dtype=np.complex128)
-    sizes = np.empty(z.shape)
-    for start in range(0, len(z), SUM_BLOCK):
-        block = slice(start, start + SUM_BLOCK)
-        table = np.empty((degree + 1, len(z[block])), dtype=np.complex128)
-        table[0] = 1.0
-        table[1:] = z[block]
-        np.cumprod(table, axis=0, out=table)
-        values[..., block] = coeffs @ table
-        sizes[block] = abs_c @ np.abs(table)
-    return values, sizes
+    table = np.empty((coeffs.shape[-1], len(z)), dtype=np.complex128)
+    table[0] = 1.0
+    table[1:] = z
+    np.cumprod(table, axis=0, out=table)
+    return coeffs @ table, abs_c @ np.abs(table)
 
 
 def _newton_polygon_start(abs_c: np.ndarray) -> np.ndarray:
@@ -237,22 +229,16 @@ def _newton_polygon_start(abs_c: np.ndarray) -> np.ndarray:
 
 
 def _reciprocal_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_{j != i} 1/(z_i - z_j) for every i in rows, SUM_BLOCK rows at a time.
+    """sum_{j != i} 1/(z_i - z_j) for every i in rows.
 
-    Each block of differences is divided in place, so the working set stays
-    SUM_BLOCK rows wide instead of len(rows) x len(z); every row sums the
-    same values in the same order as the whole difference matrix, so the
-    sums are bit-identical to its rows.  Two equal approximations, or one
-    that is not finite, make sums that are not finite.
+    One matrix of differences z_i - z_j, len(rows) x len(z), is divided in
+    place and summed along its rows.  Two equal approximations, or one that
+    is not finite, make sums that are not finite.
     """
-    sums = np.empty(len(rows), dtype=z.dtype)
-    for start in range(0, len(rows), SUM_BLOCK):
-        chunk = rows[start : start + SUM_BLOCK]
-        block = z[chunk, None] - z
-        block[np.arange(len(chunk)), chunk] = np.inf
-        np.divide(1.0, block, out=block)
-        block.sum(axis=1, out=sums[start : start + SUM_BLOCK])
-    return sums
+    diff = z[rows, None] - z
+    diff[np.arange(len(rows)), rows] = np.inf
+    np.divide(1.0, diff, out=diff)
+    return diff.sum(axis=1)
 
 
 def _refusal(z: np.ndarray, iterations: int) -> RootFindingError:
@@ -323,27 +309,31 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, b
 def poly_roots(p: Polynomial) -> tuple[complex, ...]:
     """All complex roots of a monic polynomial, with multiplicity.
 
-    Roots at zero are deflated exactly (leading near-zero coefficients);
-    the rest come from the Aberth-Ehrlich iteration.  A RootFindingError
-    with the roots, residuals and iteration count is raised when the
-    iteration reaches MAX_ITERATIONS with a residual still above its
-    evaluation noise floor, or when a returned root would break
+    Roots at zero are deflated exactly: each low coefficient that is
+    exactly 0 (-0.0 too) is a root 0, and no other coefficient is taken for
+    zero, however small; the rest come from the Aberth-Ehrlich iteration.
+    A degree above MAX_DIMENSION is refused with a ValueError, as char_poly
+    refuses a larger matrix, so no power table or difference matrix of an
+    iteration holds more than 513 x 512 complex doubles (4.2 MB).  A
+    RootFindingError with the roots, residuals and iteration count is
+    raised when the iteration reaches MAX_ITERATIONS with a residual still
+    above its evaluation noise floor, or when a returned root would break
     |p(z)| <= 1e-10 * max(1, sum_k |c_k| |z|^k), which a non-finite root or
-    residual always breaks.  The bound scales with the
-    size of the terms that cancel at z, so it neither accepts anything near
-    |z| = 1 at high degree nor refuses converged roots of polynomials with
-    large coefficients.
+    residual always breaks.  The bound scales with the size of the terms
+    that cancel at z, so it neither accepts anything near |z| = 1 at high
+    degree nor refuses converged roots of polynomials with large
+    coefficients.
     """
     if p.degree < 1:
         raise ValueError("polynomial must have degree >= 1")
+    if p.degree > MAX_DIMENSION:
+        raise ValueError(f"polynomial degree {p.degree} exceeds supported maximum {MAX_DIMENSION}")
     coeffs = np.asarray(p.coeffs, dtype=np.float64)
     if abs(coeffs[-1] - 1.0) > 1e-9:
         raise ValueError(f"polynomial must be monic, leading coefficient {coeffs[-1]}")
 
-    scale = float(np.max(np.abs(coeffs)))
-    n_zero = 0
-    while n_zero < p.degree and abs(coeffs[n_zero]) <= 1e-12 * scale:
-        n_zero += 1
+    # the leading coefficient passed the monic test, so it is not 0
+    n_zero = int(np.flatnonzero(coeffs)[0])
     reduced = coeffs[n_zero:]
 
     iterations = 0

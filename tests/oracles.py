@@ -6,8 +6,7 @@ polynomials, component partitions from a reachability matrix, pair families
 from a direct double loop, polynomial values from rational arithmetic.  The
 exceptions are earlier forms of package code that the current forms must
 reproduce bit for bit: `float_trace_recursion`, the step-by-step form of
-`char_poly`; `unblocked_reciprocal_sums`, the whole-matrix form of the
-Aberth sums; `reference_chain_details`, the per-budget sweep of
+`char_poly`; `reference_chain_details`, the per-budget sweep of
 `chain_details`, which calls the package's per-budget check;
 `reference_same_sign_pattern`, the row builder of the same-sign prediction;
 `reference_csv`, `reference_text` and `reference_svg`, the row-by-row
@@ -125,18 +124,6 @@ def largest_single_precision_bound(matrix) -> float:
         largest = max(largest, row_sum * float(np.abs(m).max()), diagonal_bound)
         m = am + ck * np.eye(n)
     return largest
-
-
-def unblocked_reciprocal_sums(z):
-    """sum_{j != i} 1/(z_i - z_j) for every i from the whole difference matrix.
-
-    The earlier form of the Aberth sums in spectra._aberth.
-    """
-    import numpy as np
-
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, np.inf)
-    return (1.0 / diff).sum(axis=1)
 
 
 def exact_poly_value(coeffs, z: complex) -> tuple[Fraction, Fraction]:

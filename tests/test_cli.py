@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import stat
 import time
@@ -9,6 +10,7 @@ import pytest
 from sidigraph import (
     SignedDigraph,
     adjacency_matrix,
+    char_poly,
     format_edge_list,
     join_with_arc,
     make_cycle,
@@ -428,6 +430,23 @@ def test_spectrum_path_all_zero(tmp_path, capsys):
     assert "energy: 0.000000" in out
     assert "iota energy: 0.000000" in out
     assert "strong components: 5 (nontrivial 0)" in out
+
+
+def test_spectrum_nilpotent_component_prints_three_zeros(tmp_path, capsys):
+    # one strong component with four arcs, so it takes the numeric route;
+    # its characteristic polynomial is x^3, with -0.0 low coefficients
+    g = SignedDigraph(3, ((0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, -1)))
+    coeffs = char_poly(adjacency_matrix(g)).coeffs
+    assert [math.copysign(1.0, c) for c in coeffs] == [-1.0, -1.0, -1.0, 1.0]
+    assert coeffs == (0.0, 0.0, 0.0, 1.0)
+    path = tmp_path / "nilpotent.txt"
+    path.write_text(format_edge_list(g), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "spectrum", str(path))
+    assert code == 0
+    assert "strong components: 1 (nontrivial 1)" in out
+    assert out.count("  +0.000000 +0.000000i") == 3
+    assert "\nenergy: 0.000000\n" in out
+    assert "iota energy: 0.000000" in out
 
 
 def test_spectrum_joined_graph(tmp_path, capsys):
