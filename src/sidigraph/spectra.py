@@ -20,16 +20,17 @@ non-cycle component above MAX_DIMENSION vertices, a trace recursion whose
 partial sums may pass 2^53, two root approximations that coincide or one
 that is not finite, an iteration that does not reach the evaluation noise
 floor, a residual above 1e-10 * max(1, sum_k |c_k| |z|^k), and a root that
-is not finite or lies outside the Gershgorin disc.  `cycle_root_radii`
-proves approximations of the roots of x^n - sign by disjoint inclusion
-discs, with no root search.
+is not finite or lies outside the Gershgorin disc.
+`cycle_root_radii_batch` proves approximations of the roots of x^n - sign,
+for many cycles at once, by disjoint inclusion discs, with no root search;
+`cycle_root_radii` is its one-cycle call.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -329,7 +330,8 @@ def poly_roots(p: Polynomial) -> tuple[complex, ...]:
     if p.degree > MAX_DIMENSION:
         raise ValueError(f"polynomial degree {p.degree} exceeds supported maximum {MAX_DIMENSION}")
     coeffs = np.asarray(p.coeffs, dtype=np.float64)
-    if abs(coeffs[-1] - 1.0) > 1e-9:
+    # written so that a NaN leading coefficient fails the test
+    if not abs(coeffs[-1] - 1.0) <= 1e-9:
         raise ValueError(f"polynomial must be monic, leading coefficient {coeffs[-1]}")
 
     # the leading coefficient passed the monic test, so it is not 0
@@ -381,61 +383,53 @@ def cycle_eigenvalues(length: int, sign: int) -> tuple[complex, ...]:
     return tuple(cmath.rect(1.0, a) for a in angles)
 
 
-def _power(z: np.ndarray, n: int) -> np.ndarray:
-    """z**n for n >= 1 by binary powering, one complex product per step."""
-    result = None
-    while True:
-        if n & 1:
-            result = z if result is None else result * z
-        n >>= 1
-        if not n:
-            return result
-        z = z * z
+def _powers(z: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """z**e for each root and its own exponent e >= 1, by binary powering.
 
-
-def cycle_root_radii(n: int, sign: int, approximations: Iterable[complex]) -> np.ndarray:
-    """Proven radii of disjoint inclusion discs for the roots of x^n - sign.
-
-    The disc |z - z_k| <= r_k around the k-th approximation holds one root,
-    and the n discs hold n different roots, so the energy and the iota
-    energy of the exact roots lie within sum(r) of those of the
-    approximations.  Nothing about how the z_k were computed is trusted; a
-    RootFindingError, with the approximations as its roots, names the step
-    that fails.  With f = x^n - sign and u = 2^-53:
-
-    1. A disc per approximation.  f'/f = sum_j 1/(z - omega_j) puts a root
-       within n|f(z)| / |f'(z)| = |f(z)| / |z|^(n-1) of any z.
-    2. A rigorous bound on that radius.  Every z_k must have |z_k|^2 within
-       1/n of 1, so every power up to z^n has modulus in [1/2, 2].  P = z^n
-       is taken by binary powering; one complex product is off by at most
-       sqrt(5) u |a||b| (Brent, Percival & Zimmermann 2007), and 2.25 u
-       also covers partial products that underflow, so under any addition
-       chain |P - z^n| <= g |z|^n with g = (1 + 2.25u)^(n-1) - 1 <=
-       (n-1) 2.25u / (1 - (n-1) 2.25u).  Then |f(z)| <= |P - sign| + g|z|^n
-       and |z|^n >= |P| / (1 + g) give
-       r = |z| (|P - sign| (1 + g) / |P| + g).  |P - sign| is bounded by
-       the sum of its two parts, and each modulus |w| >= 1/2 by the square
-       root of a rounded x^2 + y^2, within 2.5u of it; with the other
-       roundings of the formula that is less than 24u in all, which a last
-       factor 1 + 32u covers.
-    3. One root per disc, each root once.  The roots are at least
-       2 sin(pi/n) >= 4/n apart, so a disc of radius below 1/(4n) holds at
-       most one, and by step 1 at least one.  Two such discs share no root
-       when their centres are more than 1/(2n) apart.  The z_k are bucketed
-       into cells of side 1/n by floor(x n) and floor(y n); when no other
-       z lies in a point's 3 x 3 block of cells, every pair differs by more
-       than 1/n, less a rounding of x n, in one coordinate.  That is a sort
-       and four searches, not all pairs.
+    Each power starts from exactly 1, and 1 * z is z, so every rounded
+    product is one that powering that root alone would make: one complex
+    product per set bit of e, and a squaring before each later bit.  Each
+    step multiplies and squares in place, only where a root's exponent
+    asks for it, so no root is squared past its last bit.
     """
-    if n < 2 or sign not in (1, -1):
-        raise ValueError(f"need n >= 2 and sign +1 or -1, got n={n}, sign={sign!r}")
-    z = np.asarray(tuple(approximations), dtype=np.complex128)
-    if len(z) != n:
-        raise ValueError(f"need the {n} approximations of the roots of x^n - sign, got {len(z)}")
+    result = np.ones_like(z)
+    z = z.copy()
+    while True:
+        np.multiply(result, z, out=result, where=(exponents & 1).astype(bool))
+        exponents = exponents >> 1
+        left = exponents > 0
+        if not left.any():
+            return result
+        np.multiply(z, z, out=z, where=left)
+
+
+def _radius_bounds(z: np.ndarray, n: np.ndarray, signs: np.ndarray, modulus_sq: np.ndarray) -> np.ndarray:
+    """Step 2 of the proof: a rigorous bound on each disc's radius.
+
+    Its own function, so that the powers and their temporaries are freed
+    before the cells are built.
+    """
+    u = 2.0**-53
+    chain = (n - 1) * 2.25 * u
+    g = chain / (1.0 - chain)
+    p = _powers(z, n)
+    residual = np.abs(p.real - signs) + np.abs(p.imag)
+    radii = np.sqrt(modulus_sq) * (residual * (1.0 + g) / np.sqrt(p.real * p.real + p.imag * p.imag) + g)
+    radii *= 1.0 + 32.0 * u
+    return radii
+
+
+def _disc_radii(lengths: np.ndarray, signs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The proof of cycle_root_radii_batch over all its cycles; raises its first refusal.
+
+    A refusal names roots by their position in z, which is their index in
+    their cycle when z holds one cycle.
+    """
 
     def refuse(message: str) -> RootFindingError:
         return RootFindingError(message, roots=tuple(z.tolist()))
 
+    n = np.repeat(lengths, lengths)
     x, y = z.real, z.imag
     # comparisons of abs are false for NaN, and no square of a kept value overflows
     boxed = np.flatnonzero(~((np.abs(x) <= 2.0) & (np.abs(y) <= 2.0)))
@@ -448,33 +442,133 @@ def cycle_root_radii(n: int, sign: int, approximations: Iterable[complex]) -> np
         k = off[0]
         raise refuse(f"root approximation {k} = {complex(z[k])} lies off the unit circle")
 
-    u = 2.0**-53
-    chain = (n - 1) * 2.25 * u
-    g = chain / (1.0 - chain)
-    p = _power(z, n)
-    residual = np.abs(p.real - sign) + np.abs(p.imag)
-    radii = np.sqrt(modulus_sq) * (residual * (1.0 + g) / np.sqrt(p.real * p.real + p.imag * p.imag) + g)
-    radii *= 1.0 + 32.0 * u
-    wide = int(np.argmax(radii))
-    if not radii[wide] * (4 * n) < 1.0:
-        raise refuse(f"root disc {wide} has radius {radii[wide]:.3g}, not below 1/(4n) = {0.25 / n:.3g}")
+    radii = _radius_bounds(z, n, np.repeat(signs, lengths), modulus_sq)
+    if not np.all(radii * (4 * n) < 1.0):
+        wide = int(np.argmax(radii))
+        raise refuse(f"root disc {wide} has radius {radii[wide]:.3g}, not below 1/(4n) = {0.25 / n[wide]:.3g}")
 
-    # cells numbered row by row over [-2n, 2n]^2, so that a neighbour's number is an offset
-    width = 4 * n + 3
+    # a cycle numbers its cells row by row over [-2n, 2n]^2, so that a
+    # neighbour's number is an offset, and from a base past all the numbers
+    # of the cycles before it, so that roots of two cycles never meet
+    widths = 4 * lengths + 3
+    areas = widths * widths
+    width = np.repeat(widths, lengths)
     cells = (np.floor(x * n).astype(np.int64) + 2 * n + 1) * width + np.floor(y * n).astype(np.int64) + 2 * n + 1
+    cells += np.repeat(np.cumsum(areas) - areas, lengths)
     order = np.argsort(cells, kind="stable")
     ranked = cells[order]
     shared = np.flatnonzero(ranked[1:] == ranked[:-1])
     if len(shared):
         i, j = order[shared[0]], order[shared[0] + 1]
-        raise refuse(f"root discs not isolated: approximations {i} and {j} share a cell of side 1/{n}")
-    # each neighbouring pair is found from one side: up, lower right, right, upper right
+        raise refuse(f"root discs not isolated: approximations {i} and {j} share a cell of side 1/{n[i]}")
+    # each neighbouring pair is found from one side: up, lower right, right,
+    # upper right; sorted queries make the searches cheap, and the first
+    # approximation in z with such a neighbour is named
+    width = width[order]
     for offset in (1, width - 1, width, width + 1):
-        found = np.minimum(np.searchsorted(ranked, cells + offset), n - 1)
-        near = np.flatnonzero(ranked[found] == cells + offset)
+        wanted = ranked + offset
+        found = np.minimum(np.searchsorted(ranked, wanted), len(z) - 1)
+        near = np.flatnonzero(ranked[found] == wanted)
         if len(near):
-            i, j = near[0], order[found[near[0]]]
-            raise refuse(f"root discs not isolated: approximations {i} and {j} lie in neighbouring cells of side 1/{n}")
+            first = near[np.argmin(order[near])]
+            i, j = order[first], order[found[first]]
+            raise refuse(
+                f"root discs not isolated: approximations {i} and {j} lie in neighbouring cells of side 1/{n[i]}"
+            )
+    return radii
+
+
+def cycle_root_radii_batch(
+    lengths: Sequence[int], signs: Sequence[int], approximations: Iterable[complex]
+) -> tuple[np.ndarray, list[RootFindingError | None]]:
+    """Proven radii of disjoint inclusion discs for the roots of many x^n - sign.
+
+    approximations holds the lengths[0] approximations of the roots of
+    x^lengths[0] - signs[0], then those of the next cycle, and so on.  The
+    disc |z - z_k| <= r_k around the k-th approximation of a cycle holds
+    one root, and the n discs of the cycle hold its n different roots, so
+    the energy and the iota energy of its exact roots lie within the sum of
+    its radii of those of its approximations.  Returns the radii, in the
+    order of the approximations, and per cycle None, or the
+    RootFindingError, with that cycle's approximations as its roots, that
+    names the first step of its proof that fails; the radii of a refused
+    cycle are NaN.  Nothing about how the z_k were computed is trusted.
+    With f = x^n - sign and u = 2^-53, per cycle:
+
+    1. A disc per approximation.  f'/f = sum_j 1/(z - omega_j) puts a root
+       within n|f(z)| / |f'(z)| = |f(z)| / |z|^(n-1) of any z.
+    2. A rigorous bound on that radius.  Every z_k must have |z_k|^2 within
+       1/n of 1, so every power up to z^n has modulus in [1/2, 2].  P = z^n
+       is taken by binary powering, each root with its own exponent; one
+       complex product is off by at most sqrt(5) u |a||b| (Brent, Percival
+       & Zimmermann 2007), and 2.25 u also covers partial products that
+       underflow, so under any addition chain |P - z^n| <= g |z|^n with
+       g = (1 + 2.25u)^(n-1) - 1 <= (n-1) 2.25u / (1 - (n-1) 2.25u).  Then
+       |f(z)| <= |P - sign| + g|z|^n and |z|^n >= |P| / (1 + g) give
+       r = |z| (|P - sign| (1 + g) / |P| + g).  |P - sign| is bounded by
+       the sum of its two parts, and each modulus |w| >= 1/2 by the square
+       root of a rounded x^2 + y^2, within 2.5u of it; with the other
+       roundings of the formula that is less than 24u in all, which a last
+       factor 1 + 32u covers.
+    3. One root per disc, each root once.  The roots are at least
+       2 sin(pi/n) >= 4/n apart, so a disc of radius below 1/(4n) holds at
+       most one, and by step 1 at least one.  Two such discs share no root
+       when their centres are more than 1/(2n) apart.  The z_k are bucketed
+       into cells of side 1/n by floor(x n) and floor(y n); when no other
+       z of the cycle lies in a point's 3 x 3 block of cells, every pair
+       differs by more than 1/n, less a rounding of x n, in one coordinate.
+       The cells are keyed by cycle, so roots of two cycles never meet, as
+       the roots +-1 and +-i of C_4^+ and C_8^+ must not.  That is one sort
+       and four searches over the whole batch, not all pairs.
+
+    The steps run over all the cycles at once; when one is refused, each
+    cycle is proven again alone, so that each gets its own first refusal.
+    The radii do not depend on the batch: each is the one the cycle gets
+    alone, bit for bit.
+    """
+    lengths, signs = tuple(lengths), tuple(signs)
+    if len(lengths) != len(signs):
+        raise ValueError(f"need one sign per cycle, got {len(lengths)} lengths and {len(signs)} signs")
+    for n, sign in zip(lengths, signs):
+        if n < 2 or sign not in (1, -1):
+            raise ValueError(f"need n >= 2 and sign +1 or -1, got n={n}, sign={sign!r}")
+    if not isinstance(approximations, np.ndarray):
+        approximations = tuple(approximations)
+    z = np.asarray(approximations, dtype=np.complex128)
+    total = sum(lengths)
+    if len(z) != total:
+        raise ValueError(f"need the {total} approximations of the roots of x^n - sign, got {len(z)}")
+    counts = np.asarray(lengths, dtype=np.int64)
+    units = np.asarray(signs, dtype=np.float64)
+    try:
+        return _disc_radii(counts, units, z), [None] * len(lengths)
+    except RootFindingError:
+        pass
+    # some cycle is refused: prove each alone, so that each gets its own first refusal
+    radii, refusals = [], []
+    for c, start in enumerate(np.cumsum(counts) - counts):
+        part = z[start : start + counts[c]]
+        try:
+            radii.append(_disc_radii(counts[c : c + 1], units[c : c + 1], part))
+            refusals.append(None)
+        except RootFindingError as refusal:
+            radii.append(np.full(len(part), np.nan))
+            refusals.append(refusal)
+    return np.concatenate(radii), refusals
+
+
+def cycle_root_radii(n: int, sign: int, approximations: Iterable[complex]) -> np.ndarray:
+    """Proven radii of disjoint inclusion discs for the roots of x^n - sign.
+
+    The one-cycle call of cycle_root_radii_batch, whose docstring gives the
+    proof: the disc |z - z_k| <= r_k around the k-th approximation holds
+    one root, and the n discs hold n different roots.  Raises the
+    RootFindingError, with the approximations as its roots, that names the
+    first step of the proof that fails.
+    """
+    radii, (refusal,) = cycle_root_radii_batch((n,), (sign,), approximations)
+    if refusal is not None:
+        raise refusal
     return radii
 
 

@@ -12,12 +12,19 @@ reproduce bit for bit: `float_trace_recursion`, the step-by-step form of
 `reference_csv`, `reference_text` and `reference_svg`, the row-by-row
 renderers, which read an OrderingSequence's columns; and
 `reference_strong_components`, which cuts each component out of the whole
-arc list as `strong_components` once did, on the reachability partition.
+arc list as `strong_components` once did, on the reachability partition;
+and `reference_cycle_root_radii`, the disc proof of one cycle at a time
+that the batched `cycle_root_radii_batch` must match radius for radius.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
+
+import numpy as np
+
+from sidigraph import RootFindingError
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -500,3 +507,73 @@ def reference_svg(sequence) -> str:
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _reference_power(z: np.ndarray, n: int) -> np.ndarray:
+    """z**n for n >= 1 by binary powering, one complex product per step."""
+    result = None
+    while True:
+        if n & 1:
+            result = z if result is None else result * z
+        n >>= 1
+        if not n:
+            return result
+        z = z * z
+
+
+def reference_cycle_root_radii(n: int, sign: int, approximations: Iterable[complex]) -> np.ndarray:
+    """The per-cycle disc proof that cycle_root_radii_batch must reproduce.
+
+    One numpy pipeline per cycle: z^n of all the roots by one binary
+    powering with the cycle's exponent, and cells of side 1/n over that
+    cycle alone.  Raises the RootFindingError of the first step that fails.
+    """
+    if n < 2 or sign not in (1, -1):
+        raise ValueError(f"need n >= 2 and sign +1 or -1, got n={n}, sign={sign!r}")
+    z = np.asarray(tuple(approximations), dtype=np.complex128)
+    if len(z) != n:
+        raise ValueError(f"need the {n} approximations of the roots of x^n - sign, got {len(z)}")
+
+    def refuse(message: str) -> RootFindingError:
+        return RootFindingError(message, roots=tuple(z.tolist()))
+
+    x, y = z.real, z.imag
+    # comparisons of abs are false for NaN, and no square of a kept value overflows
+    boxed = np.flatnonzero(~((np.abs(x) <= 2.0) & (np.abs(y) <= 2.0)))
+    if len(boxed):
+        k = boxed[0]
+        raise refuse(f"root approximation {k} = {complex(z[k])} is not finite or lies off the unit circle")
+    modulus_sq = x * x + y * y
+    off = np.flatnonzero(np.abs(modulus_sq - 1.0) > 1.0 / n)
+    if len(off):
+        k = off[0]
+        raise refuse(f"root approximation {k} = {complex(z[k])} lies off the unit circle")
+
+    u = 2.0**-53
+    chain = (n - 1) * 2.25 * u
+    g = chain / (1.0 - chain)
+    p = _reference_power(z, n)
+    residual = np.abs(p.real - sign) + np.abs(p.imag)
+    radii = np.sqrt(modulus_sq) * (residual * (1.0 + g) / np.sqrt(p.real * p.real + p.imag * p.imag) + g)
+    radii *= 1.0 + 32.0 * u
+    wide = int(np.argmax(radii))
+    if not radii[wide] * (4 * n) < 1.0:
+        raise refuse(f"root disc {wide} has radius {radii[wide]:.3g}, not below 1/(4n) = {0.25 / n:.3g}")
+
+    # cells numbered row by row over [-2n, 2n]^2, so that a neighbour's number is an offset
+    width = 4 * n + 3
+    cells = (np.floor(x * n).astype(np.int64) + 2 * n + 1) * width + np.floor(y * n).astype(np.int64) + 2 * n + 1
+    order = np.argsort(cells, kind="stable")
+    ranked = cells[order]
+    shared = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if len(shared):
+        i, j = order[shared[0]], order[shared[0] + 1]
+        raise refuse(f"root discs not isolated: approximations {i} and {j} share a cell of side 1/{n}")
+    # each neighbouring pair is found from one side: up, lower right, right, upper right
+    for offset in (1, width - 1, width, width + 1):
+        found = np.minimum(np.searchsorted(ranked, cells + offset), n - 1)
+        near = np.flatnonzero(ranked[found] == cells + offset)
+        if len(near):
+            i, j = near[0], order[found[near[0]]]
+            raise refuse(f"root discs not isolated: approximations {i} and {j} lie in neighbouring cells of side 1/{n}")
+    return radii

@@ -474,13 +474,13 @@ def test_verify_roots_x_to_the_n_minus_sign_without_char_poly(monkeypatch):
         for name in ("poly_roots", "char_poly", "adjacency_matrix"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     certified = []
-    certify = verification.cycle_root_radii
+    certify = verification.cycle_root_radii_batch
 
-    def recorded(n, sign, approximations):
-        certified.append((n, sign))
-        return certify(n, sign, approximations)
+    def recorded(lengths, signs, approximations):
+        certified.extend(zip(lengths, signs))
+        return certify(lengths, signs, approximations)
 
-    monkeypatch.setattr(verification, "cycle_root_radii", recorded)
+    monkeypatch.setattr(verification, "cycle_root_radii_batch", recorded)
     results = verification.run_verification(30)
     assert all(r.passed for r in results)
     names = "\n".join(r.name for r in results).encode("utf-8")

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -25,13 +26,14 @@ from sidigraph import (
     poly_roots,
     strong_components,
 )
-from sidigraph import spectra
+from sidigraph import spectra, verification
 from oracles import (
     cofactor_char_poly,
     exact_poly_value,
     float_trace_recursion,
     largest_single_precision_bound,
     match_multisets,
+    reference_cycle_root_radii,
 )
 from seeded_graphs import chained_blocks, collinear_hull_scc, dense_scc
 
@@ -232,6 +234,13 @@ def test_poly_roots_requires_monic_and_degree():
         poly_roots(Polynomial((1.0, 2.0)))
     with pytest.raises(ValueError):
         poly_roots(Polynomial((1.0,)))
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, math.nan), (1.0, 0.0, math.nan)])
+def test_poly_roots_refuses_a_nan_leading_coefficient_as_not_monic(coeffs):
+    # |nan - 1| > 1e-9 is false, so the test must be written to fail on NaN
+    with pytest.raises(ValueError, match="polynomial must be monic, leading coefficient nan"):
+        poly_roots(Polynomial(coeffs))
 
 
 def test_poly_roots_refuses_a_degree_above_the_matrix_cap(monkeypatch):
@@ -545,13 +554,44 @@ def test_cycle_eigenvalues_match_sign_convention():
 # --- inclusion discs for the roots of x^n - sign ----------------------------
 
 def test_cycle_root_discs_isolated_and_tight_up_to_1000():
-    for n in range(2, 1001):
-        for sign in (1, -1):
-            radii = spectra.cycle_root_radii(n, sign, cycle_eigenvalues(n, sign))
-            assert len(radii) == n
-            assert math.fsum(radii) <= 1e-9, (n, sign)
+    # proven in verify's batches, radius for radius those of one cycle at a time
+    batches = list(verification._cycle_batches(1000))
+    assert len(batches) > 100 and max(map(len, batches)) > 2
+    for batch in batches:
+        lengths, signs = zip(*batch)
+        z = [w for n, sign in batch for w in cycle_eigenvalues(n, sign)]
+        radii, refusals = spectra.cycle_root_radii_batch(lengths, signs, z)
+        assert refusals == [None] * len(batch)
+        start = 0
+        for n, sign in batch:
+            cycle = radii[start : start + n]
+            start += n
+            assert np.array_equal(cycle, reference_cycle_root_radii(n, sign, cycle_eigenvalues(n, sign)))
+            assert math.fsum(cycle) <= 1e-9, (n, sign)
             # the rounding of z^n is bounded, not ignored, even where it is 0
-            assert radii.min() >= (n - 1) * 2.25 * 2.0**-53
+            assert cycle.min() >= (n - 1) * 2.25 * 2.0**-53
+        assert start == len(radii)
+
+
+def test_cycle_root_discs_of_two_cycles_never_meet(monkeypatch):
+    # C4+ and C8+ share the roots +-1 and +-i, and C8+ given twice shares
+    # all eight, which within one cycle would be approximations sharing a
+    # cell; the batch is proven in one pass, not again cycle by cycle
+    proofs = []
+    prove = spectra._disc_radii
+
+    def counted(lengths, signs, z):
+        proofs.append(tuple(lengths))
+        return prove(lengths, signs, z)
+
+    monkeypatch.setattr(spectra, "_disc_radii", counted)
+    c4, c8 = cycle_eigenvalues(4, 1), cycle_eigenvalues(8, 1)
+    radii, refusals = spectra.cycle_root_radii_batch((4, 8, 8), (1, 1, 1), c4 + c8 + c8)
+    assert refusals == [None, None, None]
+    assert proofs == [(4, 8, 8)]
+    assert np.array_equal(radii[:4], reference_cycle_root_radii(4, 1, c4))
+    assert np.array_equal(radii[4:12], reference_cycle_root_radii(8, 1, c8))
+    assert np.array_equal(radii[12:], radii[4:12])
 
 
 @pytest.mark.parametrize("n", [3, 64, 997])
@@ -579,6 +619,27 @@ def test_cycle_root_discs_hold_the_roots_of_perturbed_approximations():
         assert radius == pytest.approx(abs(z**n - sign) / abs(z) ** (n - 1), rel=1e-12)
 
 
+def _refusal_in_a_batch(n, sign, approximations):
+    """The refusal of a cycle proven in one batch between C6- and C9+;
+    checks that they are proven as alone, and that the refusal is the
+    reference's, with the cycle's approximations as its roots."""
+    before, after = cycle_eigenvalues(6, -1), cycle_eigenvalues(9, 1)
+    radii, refusals = spectra.cycle_root_radii_batch(
+        (6, n, 9), (-1, sign, 1), before + tuple(approximations) + after
+    )
+    assert refusals[0] is None and refusals[2] is None
+    assert np.array_equal(radii[:6], reference_cycle_root_radii(6, -1, before))
+    assert np.array_equal(radii[6 + n :], reference_cycle_root_radii(9, 1, after))
+    assert np.isnan(radii[6 : 6 + n]).all()
+    refusal = refusals[1]
+    assert isinstance(refusal, RootFindingError)
+    assert np.array_equal(refusal.roots, np.asarray(approximations, dtype=complex), equal_nan=True)
+    with pytest.raises(RootFindingError) as alone:
+        reference_cycle_root_radii(n, sign, approximations)
+    assert str(refusal) == str(alone.value)
+    return refusal
+
+
 def test_cycle_root_discs_refuse_coinciding_approximations():
     approximations = list(cycle_eigenvalues(7, 1))
     approximations[3] = approximations[2]
@@ -586,6 +647,7 @@ def test_cycle_root_discs_refuse_coinciding_approximations():
     with pytest.raises(RootFindingError, match=refusal) as caught:
         spectra.cycle_root_radii(7, 1, approximations)
     assert caught.value.roots == tuple(approximations)
+    assert str(_refusal_in_a_batch(7, 1, approximations)) == str(caught.value)
 
 
 def test_cycle_root_discs_refuse_neighbours_across_a_cell_edge():
@@ -593,8 +655,9 @@ def test_cycle_root_discs_refuse_neighbours_across_a_cell_edge():
     approximations = list(cycle_eigenvalues(7, 1))
     approximations[3] = complex(1.0 - 2.0**-53, 0.0)
     refusal = "root discs not isolated: approximations 3 and 0 lie in neighbouring cells"
-    with pytest.raises(RootFindingError, match=refusal):
+    with pytest.raises(RootFindingError, match=refusal) as caught:
         spectra.cycle_root_radii(7, 1, approximations)
+    assert str(_refusal_in_a_batch(7, 1, approximations)) == str(caught.value)
 
 
 @pytest.mark.parametrize(
@@ -610,13 +673,52 @@ def test_cycle_root_discs_refuse_neighbours_across_a_cell_edge():
 def test_cycle_root_discs_refuse_bad_approximations(bad, message):
     approximations = list(cycle_eigenvalues(10, -1))
     approximations[4] = bad
-    with pytest.raises(RootFindingError, match=message):
+    with pytest.raises(RootFindingError, match=message) as caught:
         spectra.cycle_root_radii(10, -1, approximations)
+    assert str(_refusal_in_a_batch(10, -1, approximations)) == str(caught.value)
+
+
+def test_cycle_root_discs_refuse_only_the_cycle_that_fails():
+    # scaled by 1.01 the discs of C10- are wider than 1/(4n); the batch
+    # refuses that cycle alone, with the detail of the one-cycle call
+    scaled = [w * 1.01 for w in cycle_eigenvalues(10, -1)]
+    refusal = _refusal_in_a_batch(10, -1, scaled)
+    with pytest.raises(RootFindingError) as alone:
+        spectra.cycle_root_radii(10, -1, scaled)
+    assert str(refusal) == str(alone.value)
+    assert str(refusal).startswith("root disc ")
+
+
+def test_cycle_root_discs_refuse_near_duplicates_as_the_reference():
+    # an approximation moved onto 1, -1, i or -i, or one ulp off it, shares a
+    # cell or lies in a neighbouring cell with the root there; with several
+    # such pairs the refusal names the same one as the reference
+    rng = random.Random(11)
+    causes = set()
+    for _ in range(300):
+        n = 4 * rng.randint(1, 12)
+        approximations = list(cycle_eigenvalues(n, 1))
+        for _ in range(rng.randint(1, 4)):
+            edge = complex(rng.choice((1, -1, 1j, -1j)))
+            x, y = (v if rng.random() < 0.5 else math.nextafter(v, rng.choice((-2, 2))) for v in (edge.real, edge.imag))
+            approximations[rng.randrange(n)] = complex(x, y)
+        try:
+            reference_cycle_root_radii(n, 1, approximations)
+        except RootFindingError:
+            refusal = _refusal_in_a_batch(n, 1, approximations)
+            with pytest.raises(RootFindingError, match=re.escape(str(refusal))):
+                spectra.cycle_root_radii(n, 1, approximations)
+            causes.add("share a cell" if "share a cell" in str(refusal) else "neighbouring")
+    assert causes == {"share a cell", "neighbouring"}
 
 
 def test_cycle_root_discs_need_one_approximation_per_root():
     with pytest.raises(ValueError, match="need the 4 approximations"):
         spectra.cycle_root_radii(4, 1, cycle_eigenvalues(3, 1))
+    with pytest.raises(ValueError, match="need the 7 approximations"):
+        spectra.cycle_root_radii_batch((3, 4), (1, 1), cycle_eigenvalues(3, 1))
+    with pytest.raises(ValueError, match="need one sign per cycle"):
+        spectra.cycle_root_radii_batch((3, 4), (1,), cycle_eigenvalues(7, 1))
     with pytest.raises(ValueError, match="need n >= 2 and sign"):
         spectra.cycle_root_radii(1, 1, [1.0])
     with pytest.raises(ValueError, match="need n >= 2 and sign"):
