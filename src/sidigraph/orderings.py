@@ -17,11 +17,9 @@ predicted chains and the reports of `extremal_pairs` and
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -129,10 +127,6 @@ def _check_budget(budget_n: int) -> None:
 
 def _pair(l1: int, s1: int, l2: int, s2: int) -> CyclePair:
     return CyclePair(SignedCycle(l1, s1), SignedCycle(l2, s2))
-
-
-def _table(rows: Iterable[tuple[int, ...]], width: int = 4) -> np.ndarray:
-    return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64).reshape(-1, width)
 
 
 def _label(row: np.ndarray) -> str:
@@ -264,10 +258,10 @@ def restrict(sequence: OrderingSequence, budget_n: int) -> OrderingSequence:
     return _sorted(budget_n, sequence.sign_class, codes[fits], sequence.values[fits], sequence.tie_tol)
 
 
-def _center(total: int) -> int:
-    """Largest first length of a pair with this even total (center of the block)."""
+def _center(total):
+    """Largest first length of a pair with this even total (center of the block); also elementwise."""
     half = total // 2
-    return half if half % 2 == 0 else half - 1
+    return half - half % 2
 
 
 # The tail of the same-sign prediction, from (C_10^+, C_10^+) down, written
@@ -426,14 +420,25 @@ def check_mixed_chain(sequence: OrderingSequence) -> str:
     return _compare_chain(sequence, *_mixed_pattern(sequence.budget_n))
 
 
+def _narrow_groups(sequence: OrderingSequence) -> bool:
+    """Whether every tie group spans at most the sequence's tie_tol.
+
+    Neighbouring groups drop by more than tie_tol, since that is how they
+    were formed, so then masking the rows to total <= n neither splits nor
+    merges a group: the budget-n ordering is the sequence masked.
+    """
+    starts = np.flatnonzero(np.diff(sequence.tie_groups, prepend=0))
+    highest = np.maximum.reduceat(sequence.values, starts)
+    lowest = np.minimum.reduceat(sequence.values, starts)
+    return bool(np.all(highest - lowest <= sequence.tie_tol))
+
+
 def _failing_budgets(sequence: OrderingSequence, codes: np.ndarray, tied: np.ndarray) -> np.ndarray:
     """Whether the chain check fails at each budget 0..sequence.budget_n, from the n_max table alone.
 
     Valid when each tie group spans at most the sequence's tie_tol, as
-    chain_details makes sure.  Neighbouring groups drop by more than
-    tie_tol, since that is how they were formed, so masking to total <= n
-    neither splits nor merges a group: the budget-n ordering is the
-    sequence masked, as the fitted prediction is the prediction masked.
+    chain_details makes sure (see _narrow_groups): the budget-n ordering is
+    the sequence masked, as the fitted prediction is the prediction masked.
     Masked rows that are equal at n are equal below n, so they are equal
     up to a limit found by binary search.  Up to it, each row's numeric tie
     flag turns on at the smallest total of an earlier row of its group, and
@@ -495,10 +500,7 @@ def chain_details(sequence: OrderingSequence, first_n: int) -> list[str]:
     pattern = _same_sign_pattern if sequence.sign_class == SAME_SIGN else _mixed_pattern
     codes, tied = pattern(sequence.budget_n)
     budgets = np.arange(first_n, sequence.budget_n + 1)
-    starts = np.flatnonzero(np.diff(sequence.tie_groups, prepend=0))
-    highest = np.maximum.reduceat(sequence.values, starts)
-    lowest = np.minimum.reduceat(sequence.values, starts)
-    if np.all(highest - lowest <= sequence.tie_tol):
+    if _narrow_groups(sequence):
         budgets = budgets[_failing_budgets(sequence, codes, tied)[first_n:]]
     details = [""] * max(0, sequence.budget_n + 1 - first_n)
     for n in budgets.tolist():
@@ -506,13 +508,34 @@ def chain_details(sequence: OrderingSequence, first_n: int) -> list[str]:
     return details
 
 
-def _strict_descent_detail(chain: np.ndarray, values: np.ndarray) -> str:
-    """Empty string when the chain's row values drop strictly, else the first non-drop."""
-    stalls = np.flatnonzero(values[:-1] - values[1:] <= TIE_TOL)
-    if not len(stalls):
-        return ""
-    i = int(stalls[0]) + 1
-    return f"no strict drop from {_label(chain[i - 1])} to {_label(chain[i])}"
+def _strict_descent_details(rows: np.ndarray, values: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """Per chain, "" when its values drop strictly, by more than TIE_TOL at each step, else its first non-drop.
+
+    rows and values hold the chains one after another, lengths[c] rows for
+    chain c; no step from one chain to the next is judged.
+    """
+    chain = np.repeat(np.arange(len(lengths)), lengths)
+    stalls = np.flatnonzero((chain[1:] == chain[:-1]) & (values[:-1] - values[1:] <= TIE_TOL)) + 1
+    details = [""] * len(lengths)
+    # stalls ascend, so the first one of each chain is its first index here
+    stalled, first = np.unique(chain[stalls], return_index=True)
+    for c, i in zip(stalled.tolist(), stalls[first].tolist()):
+        details[c] = f"no strict drop from {_label(rows[i - 1])} to {_label(rows[i])}"
+    return details
+
+
+def _exact_total_details(totals: np.ndarray) -> list[str]:
+    """The exact-total chain check of each even total, ascending, all from one table.
+
+    A total's chain is its (-,-) rows by first length ascending, then its
+    (+,+) rows by first length descending: one lexsort of the same-sign
+    family of these totals.  A total T has 2 * (T // 4) rows.
+    """
+    codes = _family_table(SAME_SIGN, totals)
+    negative = codes[:, 1] < 0
+    place = np.where(negative, codes[:, 0], -codes[:, 0])
+    chains = codes[np.lexsort((place, ~negative, codes[:, 0] + codes[:, 2]))]
+    return _strict_descent_details(chains, _values(chains), 2 * (totals // 4))
 
 
 def check_exact_total_chain(n: int) -> str:
@@ -525,16 +548,19 @@ def check_exact_total_chain(n: int) -> str:
     chain then agrees with the numeric sort of the exact-total family too.
     Returns "" on a pass, else the first step that does not drop.  n may
     not exceed MAX_BUDGET, above which the drops are not known to exceed
-    TIE_TOL.
+    TIE_TOL.  The one-total call of exact_total_details.
     """
     if n <= 4 or n % 2 != 0:
         raise ValueError(f"total must be even and > 4, got {n}")
     _check_budget(n)
-    family = _family_table(SAME_SIGN, np.array([n]))
-    values = _values(family)
-    negative = family[:, 1] < 0
-    chain = np.r_[np.flatnonzero(negative), np.flatnonzero(~negative)[::-1]]
-    return _strict_descent_detail(family[chain], values[chain])
+    return _exact_total_details(np.array([n]))[0]
+
+
+def exact_total_details(n_max: int) -> dict[int, str]:
+    """check_exact_total_chain of each even total 6..n_max, by total, from one table."""
+    _check_budget(n_max)
+    totals = np.arange(6, n_max + 1, 2)
+    return dict(zip(totals.tolist(), _exact_total_details(totals)))
 
 
 def splice_gap(n: int) -> float:
@@ -551,6 +577,26 @@ def splice_gap(n: int) -> float:
     return iota_energy_cycle(n - 4, -1) - iota_energy_cycle(n - 6, 1)
 
 
+def _splice_details(ns: np.ndarray) -> list[str]:
+    """The splice check of each even n >= 22, from one array of both three-row chains of every n."""
+    center = _center(ns - 2)
+    rows = [
+        (center, -1, ns - 2 - center, -1),
+        (2, 1, ns - 2, 1),
+        (center, 1, ns - 2 - center, 1),
+        (6, 1, ns - 6, 1),
+        (2, -1, ns - 4, -1),
+        (4, 1, ns - 4, 1),
+    ]
+    # (n, row, column), so that the i-th n holds chains 2i and 2i + 1, three rows each
+    chains = np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows], axis=1).reshape(-1, 4)
+    details = _strict_descent_details(chains, _values(chains), np.full(2 * len(ns), 3))
+    return [
+        first or second or (f"splice gap too large at n={n}" if splice_gap(n) >= 2.0 * math.sqrt(3.0) - 2.0 else "")
+        for n, first, second in zip(ns.tolist(), details[0::2], details[1::2])
+    ]
+
+
 def check_splice_inequalities(n: int) -> str:
     """Verify the three strict inequalities that splice adjacent blocks.
 
@@ -558,23 +604,20 @@ def check_splice_inequalities(n: int) -> str:
     (C_2^+, C_{n-2}^+), which beats the center (+,+) pair of total n-2; and
     (C_6^+, C_{n-6}^+) > (C_2^-, C_{n-4}^-) > (C_4^+, C_{n-4}^+).
     Returns "" on a pass, else the first inequality that fails.  n may not
-    exceed MAX_BUDGET, as for check_exact_total_chain.
+    exceed MAX_BUDGET, as for check_exact_total_chain.  The one-n call of
+    splice_details.
     """
     if n < 22 or n % 2 != 0:
         raise ValueError(f"splice inequalities need even n >= 22, got {n}")
     _check_budget(n)
-    center = _center(n - 2)
-    chains = [
-        [(center, -1, n - 2 - center, -1), (2, 1, n - 2, 1), (center, 1, n - 2 - center, 1)],
-        [(6, 1, n - 6, 1), (2, -1, n - 4, -1), (4, 1, n - 4, 1)],
-    ]
-    for chain in map(_table, chains):
-        detail = _strict_descent_detail(chain, _values(chain))
-        if detail:
-            return detail
-    if splice_gap(n) >= 2.0 * math.sqrt(3.0) - 2.0:
-        return f"splice gap too large at n={n}"
-    return ""
+    return _splice_details(np.array([n]))[0]
+
+
+def splice_details(n_max: int) -> dict[int, str]:
+    """check_splice_inequalities of each even n 22..n_max, by n, from one array."""
+    _check_budget(n_max)
+    ns = np.arange(22, n_max + 1, 2)
+    return dict(zip(ns.tolist(), _splice_details(ns)))
 
 
 def expected_floating_brackets(budget_n: int) -> tuple[CyclePair, CyclePair] | None:
@@ -602,19 +645,46 @@ def expected_floating_brackets(budget_n: int) -> tuple[CyclePair, CyclePair] | N
     return None
 
 
-def locate_floating_pair(budget_n: int) -> FloatingPairReport:
-    """Rank and neighbors of (C_{n-2}^-, C_2^+) in the full mixed ordering."""
-    if budget_n % 2 != 0 or budget_n < 10:
-        raise ValueError(f"floating pair needs an even budget >= 10, got {budget_n}")
+def _floating_neighbours(sequence: OrderingSequence, budget_n: int) -> tuple[int, int | None, int | None]:
+    """Positions of the floating pair (C_{n-2}^-, C_2^+) of n = budget_n in a full mixed
+    sequence, and of its neighbours among the rows with total <= n, None past either end.
+
+    In a sequence of budget n these are the rows just before and after it.
+    """
     target = (2, 1, budget_n - 2, -1)
-    sequence = ordered_sequence(budget_n, MIXED_SIGN, exclude_floating=False)
     hits = np.flatnonzero((sequence.codes == target).all(axis=1))
     if not len(hits):
         raise RuntimeError(f"floating pair {pair_label(*target)} missing from the mixed family")
     i = int(hits[0])
-    above = sequence._entry(i - 1) if i > 0 else None
-    below = sequence._entry(i + 1) if i + 1 < len(sequence.codes) else None
-    return FloatingPairReport(budget_n=budget_n, entry=sequence._entry(i), above=above, below=below)
+    fits = np.flatnonzero(sequence.codes[:, 0] + sequence.codes[:, 2] <= budget_n)
+    at = int(np.searchsorted(fits, i))
+    above = int(fits[at - 1]) if at > 0 else None
+    below = int(fits[at + 1]) if at + 1 < len(fits) else None
+    return i, above, below
+
+
+def locate_floating_pair(budget_n: int) -> FloatingPairReport:
+    """Rank and neighbors of (C_{n-2}^-, C_2^+) in the full mixed ordering."""
+    if budget_n % 2 != 0 or budget_n < 10:
+        raise ValueError(f"floating pair needs an even budget >= 10, got {budget_n}")
+    sequence = ordered_sequence(budget_n, MIXED_SIGN, exclude_floating=False)
+    i, above, below = _floating_neighbours(sequence, budget_n)
+    return FloatingPairReport(
+        budget_n=budget_n,
+        entry=sequence._entry(i),
+        above=None if above is None else sequence._entry(above),
+        below=None if below is None else sequence._entry(below),
+    )
+
+
+def _bracket_mismatch(budget_n: int, got_above: CyclePair | None, got_below: CyclePair | None) -> str | None:
+    expected = expected_floating_brackets(budget_n)
+    if expected is None:
+        return None
+    above, below = expected
+    if (got_above, got_below) == (above, below):
+        return ""
+    return f"expected between {above} and {below}, got {got_above} and {got_below}"
 
 
 def floating_bracket_mismatch(report: FloatingPairReport) -> str | None:
@@ -622,15 +692,32 @@ def floating_bracket_mismatch(report: FloatingPairReport) -> str | None:
 
     None where no bracket is stated for the budget, "" on a match.
     """
-    expected = expected_floating_brackets(report.budget_n)
-    if expected is None:
-        return None
-    above, below = expected
     got_above = report.above.pair if report.above else None
     got_below = report.below.pair if report.below else None
-    if (got_above, got_below) == (above, below):
-        return ""
-    return f"expected between {above} and {below}, got {got_above} and {got_below}"
+    return _bracket_mismatch(report.budget_n, got_above, got_below)
+
+
+def floating_bracket_details(n_max: int) -> dict[int, str]:
+    """floating_bracket_mismatch(locate_floating_pair(n)) of each even n 10..n_max with a tabulated bracket, by n.
+
+    All budgets read one full mixed ordering, at the largest of them: when
+    its tie groups are narrow (see _narrow_groups), the budget-n ordering
+    is its rows with total <= n, so the neighbours are read off those rows.
+    Otherwise each budget is located in the ordering restricted to it.
+    """
+    _check_budget(n_max)
+    budgets = [n for n in range(10, n_max + 1, 2) if expected_floating_brackets(n) is not None]
+    if not budgets:
+        return {}
+    sequence = ordered_sequence(budgets[-1], MIXED_SIGN)
+    narrow = _narrow_groups(sequence)
+    details = {}
+    for n in budgets:
+        within = sequence if narrow else restrict(sequence, n)
+        _, above, below = _floating_neighbours(within, n)
+        pairs = [None if i is None else _pair(*within.codes[i].tolist()) for i in (above, below)]
+        details[n] = _bracket_mismatch(n, *pairs)
+    return details
 
 
 def _extremes(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -717,11 +804,14 @@ __all__ = [
     "check_mixed_chain",
     "chain_details",
     "check_exact_total_chain",
+    "exact_total_details",
     "check_splice_inequalities",
+    "splice_details",
     "splice_gap",
     "expected_floating_brackets",
     "locate_floating_pair",
     "floating_bracket_mismatch",
+    "floating_bracket_details",
     "extremal_pairs",
     "extremal_details",
 ]

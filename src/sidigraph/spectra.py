@@ -21,9 +21,10 @@ partial sums may pass 2^53, two root approximations that coincide or one
 that is not finite, an iteration that does not reach the evaluation noise
 floor, a residual above 1e-10 * max(1, sum_k |c_k| |z|^k), and a root that
 is not finite or lies outside the Gershgorin disc.
-`cycle_root_radii_batch` proves approximations of the roots of x^n - sign,
-for many cycles at once, by disjoint inclusion discs, with no root search;
-`cycle_root_radii` is its one-cycle call.
+`cycle_eigenvalues_batch` builds the analytic roots of x^n - sign of many
+cycles with one array of angles, and `cycle_root_radii_batch` proves such
+approximations by disjoint inclusion discs, with no root search;
+`cycle_eigenvalues` and `cycle_root_radii` are their one-cycle calls.
 """
 from __future__ import annotations
 
@@ -372,15 +373,39 @@ def poly_roots(p: Polynomial) -> tuple[complex, ...]:
     return tuple(roots.tolist())
 
 
+def cycle_eigenvalues_batch(lengths: Sequence[int], signs: Sequence[int]) -> np.ndarray:
+    """Analytic spectra of many signed cycles, concatenated in their order.
+
+    The n roots of x^n - sign of each cycle, the k-th at angle 2*pi*k/n for
+    sign +1 and (2k + 1)*pi/n for sign -1, each angle formed in that order
+    of operations and mapped by np.cos and np.sin: the roots cmath.rect
+    gives for those angles, bit for bit on hosts whose numpy rounds sin
+    and cos as the C library does (the tests check n <= 1000).
+    """
+    lengths, signs = tuple(lengths), tuple(signs)
+    if len(lengths) != len(signs):
+        raise ValueError(f"need one sign per cycle, got {len(lengths)} lengths and {len(signs)} signs")
+    for n, sign in zip(lengths, signs):
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        if n < 1:
+            raise ValueError(f"a cycle needs length >= 1, got {n}")
+    counts = np.asarray(lengths, dtype=np.int64)
+    n = np.repeat(counts, counts).astype(np.float64)
+    k = (np.arange(len(n)) - np.repeat(np.cumsum(counts) - counts, counts)).astype(np.float64)
+    positive = np.repeat(np.asarray(signs) > 0, counts)
+    angles = np.where(positive, 2.0 * math.pi * k / n, (2.0 * k + 1.0) * math.pi / n)
+    z = np.empty(len(n), dtype=np.complex128)
+    z.real, z.imag = np.cos(angles), np.sin(angles)
+    return z
+
+
 def cycle_eigenvalues(length: int, sign: int) -> tuple[complex, ...]:
-    """Analytic spectrum of a signed cycle: the n-th roots of its sign."""
-    if sign == 1:
-        angles = (2.0 * math.pi * k / length for k in range(length))
-    elif sign == -1:
-        angles = ((2.0 * k + 1.0) * math.pi / length for k in range(length))
-    else:
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return tuple(cmath.rect(1.0, a) for a in angles)
+    """Analytic spectrum of a signed cycle: the n-th roots of its sign.
+
+    The one-cycle call of cycle_eigenvalues_batch.
+    """
+    return tuple(cycle_eigenvalues_batch((length,), (sign,)).tolist())
 
 
 def _powers(z: np.ndarray, exponents: np.ndarray) -> np.ndarray:

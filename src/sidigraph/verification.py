@@ -1,12 +1,20 @@
 """Batch verification suite behind the CLI `verify` command.
 
 Runs every applicable consistency check for budgets up to n_max: ordering
-patterns against the numeric sort, block splice inequalities, floating-pair
-brackets, monotone stretches against those that lemmas A and B of `trig`
-prove for every total, the cycle closed forms against the roots of
-x^n - sign, proven by inclusion discs around their analytic approximations
-in batches of cycles, and extremal identification.  Each check is a name
-and its failure detail, "" on a pass; failures are collected, not raised.
+patterns against the numeric sort, exact-total chains, block splice
+inequalities, floating-pair brackets, monotone stretches against those that
+lemmas A and B of `trig` prove for every total, the cycle closed forms
+against the roots of x^n - sign, proven by inclusion discs around their
+analytic approximations in batches of cycles, and extremal identification.
+Each check is a name and its failure detail, "" on a pass; failures are
+collected, not raised.
+
+The chain checks, the exact-total chains, the block splices, the
+floating-pair brackets and the extremal checks each judge all their
+budgets from one table (`orderings.chain_details`, `exact_total_details`,
+`splice_details`, `floating_bracket_details`, `extremal_details`); the
+cycle checks build the roots of a batch of cycles with one call and prove
+them with another.
 """
 from __future__ import annotations
 
@@ -19,7 +27,7 @@ from . import orderings, trig
 from .cycle_formulas import energy_cycle, iota_energy_cycle
 # eigenvalues is unused here but stays importable: perfbench's tracer test
 # looks it up on this module by name.
-from .spectra import cycle_eigenvalues, cycle_root_radii_batch, eigenvalues  # noqa: F401
+from .spectra import cycle_eigenvalues_batch, cycle_root_radii_batch, eigenvalues  # noqa: F401
 
 ORACLE_TOL = 1e-8
 
@@ -54,15 +62,12 @@ def run_verification(n_max: int, tie_tol: float = orderings.TIE_TOL) -> list[Che
         results.append(CheckResult(f"same-sign chain n={n}", detail))
     for n, detail in enumerate(orderings.chain_details(mixed, 6), start=6):
         results.append(CheckResult(f"mixed chain n={n}", detail))
-    for n in range(6, n_max + 1, 2):
-        results.append(CheckResult(f"exact-total chain n={n}", orderings.check_exact_total_chain(n)))
-    for n in range(22, n_max + 1, 2):
-        results.append(CheckResult(f"block splice n={n}", orderings.check_splice_inequalities(n)))
-    for n in range(10, n_max + 1, 2):
-        # Only budgets with a tabulated bracket pay for the full mixed ordering.
-        if orderings.expected_floating_brackets(n) is not None:
-            mismatch = orderings.floating_bracket_mismatch(orderings.locate_floating_pair(n))
-            results.append(CheckResult(f"floating-pair bracket n={n}", mismatch))
+    for n, detail in orderings.exact_total_details(n_max).items():
+        results.append(CheckResult(f"exact-total chain n={n}", detail))
+    for n, detail in orderings.splice_details(n_max).items():
+        results.append(CheckResult(f"block splice n={n}", detail))
+    for n, detail in orderings.floating_bracket_details(n_max).items():
+        results.append(CheckResult(f"floating-pair bracket n={n}", detail))
     for n in range(6, n_max + 1, 2):
         for function_id, interval, direction in trig.monotonicity_claims(n):
             name = f"monotone {function_id} [{interval[0]:g},{interval[1]:g}] n={n}"
@@ -98,15 +103,12 @@ def _cycle_checks(batch: list[tuple[int, int]]) -> list[CheckResult]:
     lie one each in the proven discs around the analytic approximations,
     so |Re| and |Im| of each root differ from the approximation's by at
     most its radius; fsum rounds each energy once, by at most half an ulp.
-    The whole batch is proven in one call; a refused cycle fails with its
-    refusal as the detail.
+    The whole batch is built in one call and proven in another; a refused
+    cycle fails with its refusal as the detail.
     """
-    z = np.empty(sum(n for n, _ in batch), dtype=np.complex128)
-    start = 0
-    for n, sign in batch:
-        z[start : start + n] = cycle_eigenvalues(n, sign)
-        start += n
-    radii, refusals = cycle_root_radii_batch([n for n, _ in batch], [sign for _, sign in batch], z)
+    lengths, signs = zip(*batch)
+    z = cycle_eigenvalues_batch(lengths, signs)
+    radii, refusals = cycle_root_radii_batch(lengths, signs, z)
     real, imag = np.abs(z.real), np.abs(z.imag)
     results = []
     start = 0

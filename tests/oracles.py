@@ -13,11 +13,18 @@ reproduce bit for bit: `float_trace_recursion`, the step-by-step form of
 renderers, which read an OrderingSequence's columns; and
 `reference_strong_components`, which cuts each component out of the whole
 arc list as `strong_components` once did, on the reachability partition;
-and `reference_cycle_root_radii`, the disc proof of one cycle at a time
-that the batched `cycle_root_radii_batch` must match radius for radius.
+`reference_cycle_root_radii`, the disc proof of one cycle at a time
+that the batched `cycle_root_radii_batch` must match radius for radius;
+`reference_exact_total_chain`, `reference_splice_inequalities` and
+`reference_floating_mismatch`, the one-budget checks that
+`exact_total_details`, `splice_details` and `floating_bracket_details`
+replaced in `verify`, which read the package's pair tables; and
+`reference_cycle_eigenvalues`, the cmath.rect generator that
+`cycle_eigenvalues_batch` must match root for root.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -349,7 +356,7 @@ def reference_same_sign_pattern(budget_n: int):
     states it, and fits it to the budget; reads the written-out tail and
     the small helpers from the package.
     """
-    from sidigraph.orderings import _SAME_SIGN_SMALL_ORDER, _center, _check_budget, _fit, _table
+    from sidigraph.orderings import _SAME_SIGN_SMALL_ORDER, _center, _check_budget, _fit
 
     _check_budget(budget_n)
     top = max(budget_n - budget_n % 2, 22)
@@ -374,7 +381,7 @@ def reference_same_sign_pattern(budget_n: int):
     rows.extend(neg(m, 20) for m in range(4, 11, 2))
     rows.append(pos(2, 22))
     rows.extend(_SAME_SIGN_SMALL_ORDER)
-    table = _table(rows, width=5)
+    table = np.array(rows, dtype=np.int64)
     return _fit(table[:, :4], table[:, 4].astype(bool), budget_n)
 
 
@@ -577,3 +584,75 @@ def reference_cycle_root_radii(n: int, sign: int, approximations: Iterable[compl
             i, j = near[0], order[found[near[0]]]
             raise refuse(f"root discs not isolated: approximations {i} and {j} lie in neighbouring cells of side 1/{n}")
     return radii
+
+
+# --- one-budget checks ------------------------------------------------------------
+# The per-budget bodies that verify ran before every budget was read off one
+# table; the all-budget details must give their texts for every budget.
+
+def _descent_detail(chain: np.ndarray, values: np.ndarray) -> str:
+    from sidigraph.orderings import TIE_TOL, _label
+
+    stalls = np.flatnonzero(values[:-1] - values[1:] <= TIE_TOL)
+    if not len(stalls):
+        return ""
+    i = int(stalls[0]) + 1
+    return f"no strict drop from {_label(chain[i - 1])} to {_label(chain[i])}"
+
+
+def reference_exact_total_chain(n: int) -> str:
+    """check_exact_total_chain by one family table of total n and its own chain."""
+    from sidigraph.orderings import SAME_SIGN, _family_table, _values
+
+    family = _family_table(SAME_SIGN, np.array([n]))
+    values = _values(family)
+    negative = family[:, 1] < 0
+    chain = np.r_[np.flatnonzero(negative), np.flatnonzero(~negative)[::-1]]
+    return _descent_detail(family[chain], values[chain])
+
+
+def reference_splice_inequalities(n: int) -> str:
+    """check_splice_inequalities by two three-row tables of n and splice_gap."""
+    from sidigraph.orderings import _center, _values, splice_gap
+
+    center = _center(n - 2)
+    chains = [
+        [(center, -1, n - 2 - center, -1), (2, 1, n - 2, 1), (center, 1, n - 2 - center, 1)],
+        [(6, 1, n - 6, 1), (2, -1, n - 4, -1), (4, 1, n - 4, 1)],
+    ]
+    for chain in (np.array(rows, dtype=np.int64) for rows in chains):
+        detail = _descent_detail(chain, _values(chain))
+        if detail:
+            return detail
+    if splice_gap(n) >= 2.0 * math.sqrt(3.0) - 2.0:
+        return f"splice gap too large at n={n}"
+    return ""
+
+
+def reference_floating_mismatch(n: int, tie_tol: float = 1e-9) -> str | None:
+    """floating_bracket_mismatch at budget n, the floating pair located in the
+    full mixed ordering of budget n grouped with tie_tol."""
+    from sidigraph import orderings
+
+    expected = orderings.expected_floating_brackets(n)
+    if expected is None:
+        return None
+    sequence = orderings.ordered_sequence(n, orderings.MIXED_SIGN, tie_tol=tie_tol)
+    entries = sequence.entries
+    i = sequence.codes.tolist().index([2, 1, n - 2, -1])
+    got_above = entries[i - 1].pair if i > 0 else None
+    got_below = entries[i + 1].pair if i + 1 < len(entries) else None
+    if (got_above, got_below) == expected:
+        return ""
+    return f"expected between {expected[0]} and {expected[1]}, got {got_above} and {got_below}"
+
+
+def reference_cycle_eigenvalues(length: int, sign: int) -> tuple[complex, ...]:
+    """The n-th roots of sign, one cmath.rect per root."""
+    if sign == 1:
+        angles = (2.0 * math.pi * k / length for k in range(length))
+    elif sign == -1:
+        angles = ((2.0 * k + 1.0) * math.pi / length for k in range(length))
+    else:
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    return tuple(cmath.rect(1.0, a) for a in angles)

@@ -284,15 +284,17 @@ def test_verify_prints_failing_monotone_and_cycle_details(capsys, monkeypatch):
         listed[2] = (function_id, interval, {"increasing": "decreasing", "decreasing": "increasing"}[direction])
         return listed
 
-    approximations = verification.cycle_eigenvalues
+    approximations = verification.cycle_eigenvalues_batch
 
-    def scaled(n, sign):
+    def scaled(lengths, signs):
         # the certificate still proves discs around these, but they are wide
-        spectrum = approximations(n, sign)
-        return tuple(z * 1.001 for z in spectrum) if n == 5 else spectrum
+        z = approximations(lengths, signs)
+        n = np.repeat(lengths, lengths)
+        z[n == 5] *= 1.001
+        return z
 
     monkeypatch.setattr(trig, "monotonicity_claims", flipped)
-    monkeypatch.setattr(verification, "cycle_eigenvalues", scaled)
+    monkeypatch.setattr(verification, "cycle_eigenvalues_batch", scaled)
     code, out, _ = run_cli(capsys, "verify", "--n-max", "8")
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -29,11 +30,14 @@ from sidigraph.orderings import MIXED_SIGN, SAME_SIGN
 from oracles import (
     brute_force_sign_pairs,
     reference_chain_details,
+    reference_exact_total_chain,
     reference_exact_total_verdict,
     reference_extremes,
+    reference_floating_mismatch,
     reference_minimum_tie_group,
     reference_ordering,
     reference_same_sign_pattern,
+    reference_splice_inequalities,
 )
 
 
@@ -441,6 +445,17 @@ def test_verify_restricts_no_budget_at_the_default_tolerance(monkeypatch):
     assert sum(r.name.startswith(("same-sign chain", "mixed chain")) for r in results) == 79 + 95
 
 
+@pytest.mark.parametrize("n_max", [4, 5, 9, 10, 21, 22])
+def test_verify_lists_the_one_budget_checks_at_the_edges_of_their_ranges(n_max):
+    # below 6, 10 and 22 the exact-total, bracket and splice ranges are empty
+    expected = [(f"exact-total chain n={n}", reference_exact_total_chain(n)) for n in range(6, n_max + 1, 2)]
+    expected += [(f"block splice n={n}", reference_splice_inequalities(n)) for n in range(22, n_max + 1, 2)]
+    expected += [(f"floating-pair bracket n={n}", reference_floating_mismatch(n)) for n in range(10, n_max + 1, 2)]
+    kinds = ("exact-total chain ", "block splice ", "floating-pair bracket ")
+    results = verification.run_verification(n_max)
+    assert [(r.name, r.detail) for r in results if r.name.startswith(kinds)] == expected
+
+
 def test_verify_builds_each_prediction_once(monkeypatch):
     calls = {"_same_sign_pattern": 0, "_mixed_pattern": 0}
     for name in calls:
@@ -501,18 +516,52 @@ def test_exact_total_chain(n):
 @pytest.mark.parametrize("n", [6, 8, 10, 22, 100, 1000])
 def test_exact_total_chain_runs_in_through_minus_and_out_through_plus(monkeypatch, n):
     seen = []
-    descent = orderings._strict_descent_detail
+    descent = orderings._strict_descent_details
 
-    def recorded(chain, values):
-        seen.append((chain.tolist(), values.tolist()))
-        return descent(chain, values)
+    def recorded(rows, values, lengths):
+        seen.append((rows.tolist(), values.tolist(), lengths.tolist()))
+        return descent(rows, values, lengths)
 
-    monkeypatch.setattr(orderings, "_strict_descent_detail", recorded)
+    monkeypatch.setattr(orderings, "_strict_descent_details", recorded)
     assert check_exact_total_chain(n) == ""
     center = n // 2 if (n // 2) % 2 == 0 else n // 2 - 1
     expected = [[m, -1, n - m, -1] for m in range(2, center + 1, 2)]
     expected += [[m, 1, n - m, 1] for m in range(center, 1, -2)]
-    assert seen == [(expected, [pair_iota(P(*row)) for row in expected])]
+    assert seen == [(expected, [pair_iota(P(*row)) for row in expected], [len(expected)])]
+
+
+@pytest.mark.parametrize("n_max", [4, 5, 6, 7, 22, 101, orderings.MAX_BUDGET])
+def test_exact_total_details_equal_the_one_total_reference(n_max):
+    expected = {n: reference_exact_total_chain(n) for n in range(6, n_max + 1, 2)}
+    assert orderings.exact_total_details(n_max) == expected
+    if n_max == orderings.MAX_BUDGET:
+        assert {n: check_exact_total_chain(n) for n in expected} == expected
+
+
+@pytest.mark.parametrize("n_max", [4, 21, 22, 23, 101, orderings.MAX_BUDGET])
+def test_splice_details_equal_the_one_n_reference(n_max):
+    expected = {n: reference_splice_inequalities(n) for n in range(22, n_max + 1, 2)}
+    assert orderings.splice_details(n_max) == expected
+    if n_max == orderings.MAX_BUDGET:
+        assert {n: check_splice_inequalities(n) for n in expected} == expected
+
+
+def test_strict_descent_details_judge_each_chain_alone():
+    rows = np.array([[2, -1, 6, -1], [4, -1, 4, -1], [4, 1, 4, 1], [2, 1, 6, 1], [2, 1, 8, 1], [4, 1, 6, 1]])
+    values = np.array([5.0, 4.0, 4.0 - 1e-10, 3.0, 9.0, 1.0])
+    # chain 0 stalls at its third row, chain 1 drops; the rise from chain 0 to
+    # chain 1 and the empty chain 2 are not steps
+    assert orderings._strict_descent_details(rows, values, np.array([4, 2, 0])) == [
+        "no strict drop from (C4-,C4-) to (C4+,C4+)",
+        "",
+        "",
+    ]
+    # as one chain, the rise to 9.0 is its first non-drop
+    values[2] = 3.5
+    assert orderings._strict_descent_details(rows, values, np.array([4, 2])) == ["", ""]
+    assert orderings._strict_descent_details(rows, values, np.array([6])) == [
+        "no strict drop from (C2+,C6+) to (C2+,C8+)"
+    ]
 
 
 def test_exact_total_chain_examples():
@@ -585,6 +634,9 @@ def test_floating_pair_examples():
         predicted_mixed_chain,
         extremal_pairs,
         orderings.extremal_details,
+        orderings.exact_total_details,
+        orderings.splice_details,
+        orderings.floating_bracket_details,
     ],
 )
 def test_budget_cap_refuses_1001(query):
@@ -644,6 +696,39 @@ def test_floating_bracket_table_overshoots_at_48():
     assert str(report.above.pair) == "(C12-,C34+)"
     assert str(report.below.pair) == "(C14-,C32+)"
     assert pair_iota(below) - report.entry.value == pytest.approx(3.556837662e-3, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def floating_mismatches():
+    return {n: reference_floating_mismatch(n) for n in range(10, 61, 2)}
+
+
+def test_floating_bracket_details_equal_the_one_budget_reference(floating_mismatches, monkeypatch):
+    restricted = []
+    monkeypatch.setattr(orderings, "restrict", lambda *args: restricted.append(args))
+    for n_max in range(4, 61):
+        expected = {n: m for n, m in floating_mismatches.items() if n <= n_max and m is not None}
+        assert orderings.floating_bracket_details(n_max) == expected, n_max
+    assert restricted == []
+    assert len(expected) == 20 and list(expected.values()).count("") == 19
+    assert {n: orderings.floating_bracket_mismatch(locate_floating_pair(n)) for n in expected} == expected
+
+
+def test_floating_bracket_details_locate_each_budget_alone_in_wide_groups(monkeypatch):
+    # grouped at 3.0 a tie group spans far more than 3.0, so the rows with
+    # total <= n need not be the budget-n ordering: each budget is restricted
+    assert not orderings._narrow_groups(ordered_sequence(48, MIXED_SIGN, tie_tol=3.0))
+    restricted = []
+
+    def recorded(sequence, budget_n):
+        restricted.append(budget_n)
+        return restrict(sequence, budget_n)
+
+    monkeypatch.setattr(orderings, "ordered_sequence", functools.partial(ordered_sequence, tie_tol=3.0))
+    monkeypatch.setattr(orderings, "restrict", recorded)
+    details = orderings.floating_bracket_details(60)
+    assert restricted == list(range(10, 49, 2))
+    assert details == {n: reference_floating_mismatch(n, tie_tol=3.0) for n in range(10, 49, 2)}
 
 
 def test_expected_brackets_outside_bands():

@@ -33,6 +33,7 @@ from oracles import (
     float_trace_recursion,
     largest_single_precision_bound,
     match_multisets,
+    reference_cycle_eigenvalues,
     reference_cycle_root_radii,
 )
 from seeded_graphs import chained_blocks, collinear_hull_scc, dense_scc
@@ -549,6 +550,29 @@ def test_cycle_eigenvalues_match_sign_convention():
             assert len(spec) == n
             for z in spec:
                 assert abs(z**n - sign) < 1e-10
+
+
+def test_cycle_eigenvalues_batch_match_cmath_rect_bit_for_bit():
+    lengths = [n for n in range(2, 1001) for _ in (1, -1)]
+    signs = [sign for _ in range(2, 1001) for sign in (1, -1)]
+    z = spectra.cycle_eigenvalues_batch(lengths, signs)
+    expected = np.array([w for n, sign in zip(lengths, signs) for w in reference_cycle_eigenvalues(n, sign)])
+    assert len(z) == 1001 * 1000 - 2
+    assert np.array_equal(z, expected)
+    # signed zeros too
+    assert np.array_equal(z.view(np.int64), expected.view(np.int64))
+    for n, sign in ((2, 1), (5, -1), (64, 1), (999, -1)):
+        assert cycle_eigenvalues(n, sign) == reference_cycle_eigenvalues(n, sign)
+
+
+def test_cycle_eigenvalues_batch_refuses_bad_cycles():
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 0$"):
+        cycle_eigenvalues(3, 0)
+    with pytest.raises(ValueError, match=r"^a cycle needs length >= 1, got 0$"):
+        spectra.cycle_eigenvalues_batch((4, 0), (1, 1))
+    with pytest.raises(ValueError, match=r"^need one sign per cycle, got 2 lengths and 1 signs$"):
+        spectra.cycle_eigenvalues_batch((4, 5), (1,))
+    assert len(spectra.cycle_eigenvalues_batch((), ())) == 0
 
 
 # --- inclusion discs for the roots of x^n - sign ----------------------------
