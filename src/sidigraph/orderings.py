@@ -700,22 +700,22 @@ def floating_bracket_mismatch(report: FloatingPairReport) -> str | None:
 def floating_bracket_details(n_max: int) -> dict[int, str]:
     """floating_bracket_mismatch(locate_floating_pair(n)) of each even n 10..n_max with a tabulated bracket, by n.
 
-    All budgets read one full mixed ordering, at the largest of them: when
-    its tie groups are narrow (see _narrow_groups), the budget-n ordering
-    is its rows with total <= n, so the neighbours are read off those rows.
-    Otherwise each budget is located in the ordering restricted to it.
+    All budgets read one full mixed ordering, at the largest of them, whose
+    tie groups must be narrow (see _narrow_groups): then the budget-n
+    ordering is its rows with total <= n, so the neighbours are read off
+    those rows.  A wide group raises RuntimeError naming the budget.
     """
     _check_budget(n_max)
     budgets = [n for n in range(10, n_max + 1, 2) if expected_floating_brackets(n) is not None]
     if not budgets:
         return {}
     sequence = ordered_sequence(budgets[-1], MIXED_SIGN)
-    narrow = _narrow_groups(sequence)
+    if not _narrow_groups(sequence):
+        raise RuntimeError(f"mixed ordering at budget {budgets[-1]} has a tie group wider than {sequence.tie_tol}")
     details = {}
     for n in budgets:
-        within = sequence if narrow else restrict(sequence, n)
-        _, above, below = _floating_neighbours(within, n)
-        pairs = [None if i is None else _pair(*within.codes[i].tolist()) for i in (above, below)]
+        _, above, below = _floating_neighbours(sequence, n)
+        pairs = [None if i is None else _pair(*sequence.codes[i].tolist()) for i in (above, below)]
         details[n] = _bracket_mismatch(n, *pairs)
     return details
 

@@ -24,12 +24,13 @@ is not finite or lies outside the Gershgorin disc.
 `cycle_eigenvalues_batch` builds the analytic roots of x^n - sign of many
 cycles with one array of angles, and `cycle_root_radii_batch` proves such
 approximations by disjoint inclusion discs, with no root search;
-`cycle_eigenvalues` and `cycle_root_radii` are their one-cycle calls.
+`cycle_eigenvalues` is the one-cycle call of the first.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -106,24 +107,24 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     """Monic characteristic polynomial det(xI - A) via trace recursion.
 
     The Faddeev-LeVerrier recursion M_k = A M_{k-1} + c_k I, with
-    c_k = -tr(A M_{k-1}) / k, needs only matrix products and traces.  For an
-    integer matrix every intermediate is an integer, and doubles hold it
-    exactly while every partial sum stays within 2^53.  With r the largest
-    absolute row sum of A, each step checks both bounds: r * max|M_{k-1}|
-    for every partial sum of A M_{k-1}, and sum_i |(A M_{k-1})_ii| for the
-    trace.  If either passes 2^53 the coefficients may be rounded, and a
+    c_k = -tr(A M_{k-1}) / k, needs only matrix products and traces.  A
+    must be integer-valued with a finite absolute row sum, else ValueError
+    is raised before the first step.  Every intermediate is then an
+    integer, and doubles hold it exactly while every partial sum stays
+    within 2^53.  With r the largest absolute row sum of A, each step
+    checks both bounds: r * max|M_{k-1}| for every partial sum of
+    A M_{k-1}, and sum_i |(A M_{k-1})_ii| for the trace.  If either passes 2^53 the coefficients may be rounded, and a
     RootFindingError with empty diagnostics is raised instead.  Cycles and
     sparse components stay far inside the bound; dense ones of a few dozen
     vertices pass it.
 
     The certificate has a second tier: single precision holds every integer
-    up to 2^24.  An integer matrix starts in float32 and keeps a step there
-    while r * max|M_{k-1}| <= 2^24 for the product and
+    up to 2^24.  A matrix starts in float32 and keeps a step there while
+    r * max|M_{k-1}| <= 2^24 for the product and
     max|diag(A M_{k-1})| + |c_k| <= 2^24 for the diagonal update; at the
     first step where either fails it goes over to float64 for good.  The
     trace and the bounds are summed in float64 on both tiers, so the
-    coefficients and the refusal are the same as an all-float64 recursion;
-    a matrix that is not integer-valued runs in float64 from the start.
+    coefficients and the refusal are the same as an all-float64 recursion.
     Each step adds c_k to the diagonal of A M_{k-1} in place, through a
     view, and reads max|M_{k-1}| as max(max M, -min M); with every value an
     exact integer, both are exact.
@@ -135,9 +136,11 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     if n > MAX_DIMENSION:
         raise ValueError(f"matrix dimension {n} exceeds supported maximum {MAX_DIMENSION}")
     row_sum = float(np.abs(a).sum(axis=1).max(initial=0.0))
-    # r <= 2^24 is the first step's product bound, and it makes A exact in
-    # float32; NaN and infinite entries fail one of the two tests
-    single = row_sum <= SINGLE_EXACT_LIMIT and bool((a == np.trunc(a)).all())
+    # a NaN or infinite entry makes the row sum NaN or infinite
+    if not (math.isfinite(row_sum) and bool((a == np.trunc(a)).all())):
+        raise ValueError(f"matrix must be integer-valued with a finite absolute row sum, got row sum {row_sum}")
+    # r <= 2^24 is the first step's product bound, and it makes A exact in float32
+    single = row_sum <= SINGLE_EXACT_LIMIT
     a_single = a.astype(np.float32) if single else None
     descending = [1.0]
     m = np.eye(n, dtype=np.float32 if single else np.float64)
@@ -388,6 +391,8 @@ def cycle_eigenvalues_batch(lengths: Sequence[int], signs: Sequence[int]) -> np.
     for n, sign in zip(lengths, signs):
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"a cycle length must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"a cycle needs length >= 1, got {n}")
     counts = np.asarray(lengths, dtype=np.int64)
@@ -580,21 +585,6 @@ def cycle_root_radii_batch(
             radii.append(np.full(len(part), np.nan))
             refusals.append(refusal)
     return np.concatenate(radii), refusals
-
-
-def cycle_root_radii(n: int, sign: int, approximations: Iterable[complex]) -> np.ndarray:
-    """Proven radii of disjoint inclusion discs for the roots of x^n - sign.
-
-    The one-cycle call of cycle_root_radii_batch, whose docstring gives the
-    proof: the disc |z - z_k| <= r_k around the k-th approximation holds
-    one root, and the n discs hold n different roots.  Raises the
-    RootFindingError, with the approximations as its roots, that names the
-    first step of the proof that fails.
-    """
-    radii, (refusal,) = cycle_root_radii_batch((n,), (sign,), approximations)
-    if refusal is not None:
-        raise refusal
-    return radii
 
 
 def _numeric_eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:

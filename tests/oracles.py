@@ -629,15 +629,15 @@ def reference_splice_inequalities(n: int) -> str:
     return ""
 
 
-def reference_floating_mismatch(n: int, tie_tol: float = 1e-9) -> str | None:
+def reference_floating_mismatch(n: int) -> str | None:
     """floating_bracket_mismatch at budget n, the floating pair located in the
-    full mixed ordering of budget n grouped with tie_tol."""
+    full mixed ordering of budget n."""
     from sidigraph import orderings
 
     expected = orderings.expected_floating_brackets(n)
     if expected is None:
         return None
-    sequence = orderings.ordered_sequence(n, orderings.MIXED_SIGN, tie_tol=tie_tol)
+    sequence = orderings.ordered_sequence(n, orderings.MIXED_SIGN)
     entries = sequence.entries
     i = sequence.codes.tolist().index([2, 1, n - 2, -1])
     got_above = entries[i - 1].pair if i > 0 else None

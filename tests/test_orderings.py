@@ -714,21 +714,17 @@ def test_floating_bracket_details_equal_the_one_budget_reference(floating_mismat
     assert {n: orderings.floating_bracket_mismatch(locate_floating_pair(n)) for n in expected} == expected
 
 
-def test_floating_bracket_details_locate_each_budget_alone_in_wide_groups(monkeypatch):
+def test_floating_bracket_details_refuse_wide_groups(monkeypatch):
     # grouped at 3.0 a tie group spans far more than 3.0, so the rows with
-    # total <= n need not be the budget-n ordering: each budget is restricted
+    # total <= n need not be the budget-n ordering: the check refuses rather
+    # than restrict the ordering to each budget
     assert not orderings._narrow_groups(ordered_sequence(48, MIXED_SIGN, tie_tol=3.0))
     restricted = []
-
-    def recorded(sequence, budget_n):
-        restricted.append(budget_n)
-        return restrict(sequence, budget_n)
-
     monkeypatch.setattr(orderings, "ordered_sequence", functools.partial(ordered_sequence, tie_tol=3.0))
-    monkeypatch.setattr(orderings, "restrict", recorded)
-    details = orderings.floating_bracket_details(60)
-    assert restricted == list(range(10, 49, 2))
-    assert details == {n: reference_floating_mismatch(n, tie_tol=3.0) for n in range(10, 49, 2)}
+    monkeypatch.setattr(orderings, "restrict", lambda *args: restricted.append(args))
+    with pytest.raises(RuntimeError, match=r"^mixed ordering at budget 48 has a tie group wider than 3\.0$"):
+        orderings.floating_bracket_details(60)
+    assert restricted == []
 
 
 def test_expected_brackets_outside_bands():

@@ -165,13 +165,20 @@ def test_char_poly_exact_at_the_single_precision_limit(matrix, expected):
 
 
 @pytest.mark.parametrize(
-    "matrix",
-    [[[0.1, 0.3], [0.3, 0.1]], [[0.1, 0.3, 0.0], [0.0, 0.1, 0.3], [0.3, 0.0, 0.1]]],
+    "matrix, row_sum",
+    [
+        ([[0.1, 0.3], [0.3, 0.1]], "0.4"),
+        ([[0.1, 0.3, 0.0], [0.0, 0.1, 0.3], [0.3, 0.0, 0.1]], "0.4"),
+        # nan > 2^53 is False, so the 2^53 refusal alone would let a NaN through
+        ([[math.nan]], "nan"),
+        ([[0.0, math.inf], [1.0, 0.0]], "inf"),
+    ],
 )
-def test_char_poly_non_integer_matrix_matches_float64_recursion(matrix):
-    # float32 would round 0.1 and 0.3; a non-integer matrix keeps float64
-    got = char_poly(np.array(matrix)).coeffs
-    assert np.array(got).tobytes() == np.array(float_trace_recursion(matrix)).tobytes()
+def test_char_poly_refuses_a_matrix_that_is_not_finite_and_integer_valued(matrix, row_sum):
+    # the 2^53 certificate holds for integer entries only
+    refusal = f"^matrix must be integer-valued with a finite absolute row sum, got row sum {row_sum}$"
+    with pytest.raises(ValueError, match=refusal):
+        char_poly(np.array(matrix))
 
 
 def test_char_poly_rejects_non_square():
@@ -568,6 +575,11 @@ def test_cycle_eigenvalues_batch_match_cmath_rect_bit_for_bit():
 def test_cycle_eigenvalues_batch_refuses_bad_cycles():
     with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 0$"):
         cycle_eigenvalues(3, 0)
+    # a length is not truncated: 2.5 is no cycle, not C_2
+    with pytest.raises(ValueError, match=r"^a cycle length must be an integer, got 2.5$"):
+        cycle_eigenvalues(2.5, 1)
+    with pytest.raises(ValueError, match=r"^a cycle length must be an integer, got 4.0$"):
+        spectra.cycle_eigenvalues_batch((3, 4.0), (1, -1))
     with pytest.raises(ValueError, match=r"^a cycle needs length >= 1, got 0$"):
         spectra.cycle_eigenvalues_batch((4, 0), (1, 1))
     with pytest.raises(ValueError, match=r"^need one sign per cycle, got 2 lengths and 1 signs$"):
@@ -576,6 +588,14 @@ def test_cycle_eigenvalues_batch_refuses_bad_cycles():
 
 
 # --- inclusion discs for the roots of x^n - sign ----------------------------
+
+def one_cycle_radii(n, sign, approximations):
+    """The radii cycle_root_radii_batch proves for one cycle, or its refusal raised."""
+    radii, (refusal,) = spectra.cycle_root_radii_batch((n,), (sign,), approximations)
+    if refusal is not None:
+        raise refusal
+    return radii
+
 
 def test_cycle_root_discs_isolated_and_tight_up_to_1000():
     # proven in verify's batches, radius for radius those of one cycle at a time
@@ -623,7 +643,7 @@ def test_cycle_root_discs_of_two_cycles_never_meet(monkeypatch):
 def test_cycle_root_bound_holds_against_50_digit_roots(n, sign):
     mpmath = pytest.importorskip("mpmath")
     approximations = cycle_eigenvalues(n, sign)
-    bound = math.fsum(spectra.cycle_root_radii(n, sign, approximations))
+    bound = math.fsum(one_cycle_radii(n, sign, approximations))
     with mpmath.workdps(50):
         offset = 0 if sign == 1 else 1
         roots = [mpmath.expjpi(mpmath.mpf(2 * k + offset) / n) for k in range(n)]
@@ -637,7 +657,7 @@ def test_cycle_root_discs_hold_the_roots_of_perturbed_approximations():
     # scaled by 1.001 the approximations are poor, but each disc still holds its root
     n, sign = 5, 1
     scaled = [z * 1.001 for z in cycle_eigenvalues(n, sign)]
-    radii = spectra.cycle_root_radii(n, sign, scaled)
+    radii = one_cycle_radii(n, sign, scaled)
     for z, radius, root in zip(scaled, radii, cycle_eigenvalues(n, sign)):
         assert 0.0009 < abs(z - root) <= radius < 1 / (4 * n)
         assert radius == pytest.approx(abs(z**n - sign) / abs(z) ** (n - 1), rel=1e-12)
@@ -669,7 +689,7 @@ def test_cycle_root_discs_refuse_coinciding_approximations():
     approximations[3] = approximations[2]
     refusal = "root discs not isolated: approximations 2 and 3 share a cell"
     with pytest.raises(RootFindingError, match=refusal) as caught:
-        spectra.cycle_root_radii(7, 1, approximations)
+        one_cycle_radii(7, 1, approximations)
     assert caught.value.roots == tuple(approximations)
     assert str(_refusal_in_a_batch(7, 1, approximations)) == str(caught.value)
 
@@ -680,7 +700,7 @@ def test_cycle_root_discs_refuse_neighbours_across_a_cell_edge():
     approximations[3] = complex(1.0 - 2.0**-53, 0.0)
     refusal = "root discs not isolated: approximations 3 and 0 lie in neighbouring cells"
     with pytest.raises(RootFindingError, match=refusal) as caught:
-        spectra.cycle_root_radii(7, 1, approximations)
+        one_cycle_radii(7, 1, approximations)
     assert str(_refusal_in_a_batch(7, 1, approximations)) == str(caught.value)
 
 
@@ -698,7 +718,7 @@ def test_cycle_root_discs_refuse_bad_approximations(bad, message):
     approximations = list(cycle_eigenvalues(10, -1))
     approximations[4] = bad
     with pytest.raises(RootFindingError, match=message) as caught:
-        spectra.cycle_root_radii(10, -1, approximations)
+        one_cycle_radii(10, -1, approximations)
     assert str(_refusal_in_a_batch(10, -1, approximations)) == str(caught.value)
 
 
@@ -708,7 +728,7 @@ def test_cycle_root_discs_refuse_only_the_cycle_that_fails():
     scaled = [w * 1.01 for w in cycle_eigenvalues(10, -1)]
     refusal = _refusal_in_a_batch(10, -1, scaled)
     with pytest.raises(RootFindingError) as alone:
-        spectra.cycle_root_radii(10, -1, scaled)
+        one_cycle_radii(10, -1, scaled)
     assert str(refusal) == str(alone.value)
     assert str(refusal).startswith("root disc ")
 
@@ -731,22 +751,22 @@ def test_cycle_root_discs_refuse_near_duplicates_as_the_reference():
         except RootFindingError:
             refusal = _refusal_in_a_batch(n, 1, approximations)
             with pytest.raises(RootFindingError, match=re.escape(str(refusal))):
-                spectra.cycle_root_radii(n, 1, approximations)
+                one_cycle_radii(n, 1, approximations)
             causes.add("share a cell" if "share a cell" in str(refusal) else "neighbouring")
     assert causes == {"share a cell", "neighbouring"}
 
 
 def test_cycle_root_discs_need_one_approximation_per_root():
     with pytest.raises(ValueError, match="need the 4 approximations"):
-        spectra.cycle_root_radii(4, 1, cycle_eigenvalues(3, 1))
+        one_cycle_radii(4, 1, cycle_eigenvalues(3, 1))
     with pytest.raises(ValueError, match="need the 7 approximations"):
         spectra.cycle_root_radii_batch((3, 4), (1, 1), cycle_eigenvalues(3, 1))
     with pytest.raises(ValueError, match="need one sign per cycle"):
         spectra.cycle_root_radii_batch((3, 4), (1,), cycle_eigenvalues(7, 1))
     with pytest.raises(ValueError, match="need n >= 2 and sign"):
-        spectra.cycle_root_radii(1, 1, [1.0])
+        one_cycle_radii(1, 1, [1.0])
     with pytest.raises(ValueError, match="need n >= 2 and sign"):
-        spectra.cycle_root_radii(3, 0, cycle_eigenvalues(3, 1))
+        one_cycle_radii(3, 0, cycle_eigenvalues(3, 1))
 
 
 # --- one route: strong components, guarded numeric branch -------------------
