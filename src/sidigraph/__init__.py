@@ -22,7 +22,6 @@ from .graphs import (
     format_edge_list,
     join_with_arc,
     make_cycle,
-    make_path,
     parse_edge_list,
     strong_components,
 )

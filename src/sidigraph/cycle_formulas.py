@@ -1,6 +1,8 @@
 """Closed-form energy and iota energy of signed directed cycles.
 
-Energy of a cycle on n vertices (n >= 2):
+Each function refuses a cycle C_n^sign that `graphs.check_cycle` refuses.
+
+Energy of a cycle on n vertices:
 
     positive cycle: 2*cot(pi/n)   n = 0 mod 4
                     2*csc(pi/n)   n = 2 mod 4
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .graphs import CyclePair, check_sign
+from .graphs import CyclePair, check_cycle
 
 
 _FORMS = {
@@ -40,9 +42,7 @@ def _case(n: int, sign: int, iota: bool) -> tuple[str, int]:
 
     m is n, or 2n for odd n, and must fit a double for pi/m to be evaluated.
     """
-    check_sign(sign)
-    if n < 2:
-        raise ValueError(f"cycle length must be >= 2, got {n}")
+    check_cycle(n, sign)
     if n % 2 == 1:
         form, m = ("cot" if iota else "csc"), 2 * n
     else:

@@ -1,12 +1,15 @@
 """Signed digraphs: construction, adjacency matrices, strong components.
 
 A signed digraph is a directed graph whose arcs carry a +1 or -1 sign.
-Vertex ids are dense 0-based integers.  All values here are immutable and
-hashable, so they can be shared freely across threads.
+Vertex ids are dense 0-based integers.  A signed cycle has an integer
+length >= 2 and a sign of +1 or -1: `check_cycle` states that rule for the
+whole package.  All values here are immutable and hashable.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from operator import index as _integer
 
 import numpy as np
 
@@ -22,21 +25,38 @@ def check_sign(sign: int) -> int:
     return int(sign)
 
 
+def check_cycle(length: int, sign: int) -> None:
+    """Refuse with a ValueError what is not a signed cycle: an integer length >= 2 and a sign of +1 or -1."""
+    check_sign(sign)
+    # type() first: an isinstance test against an ABC is slow
+    if type(length) is not int and not isinstance(length, numbers.Integral):
+        raise ValueError(f"cycle length must be an integer, got {length!r}")
+    if length < 2:
+        raise ValueError(f"cycle length must be >= 2, got {length}")
+
+
 @dataclass(frozen=True)
 class SignedDigraph:
     """A digraph on n_vertices dense vertex ids with signed arcs.
 
-    No self-loops and no parallel (tail, head) arcs.  Arcs are stored
-    sorted so equal graphs compare and hash equal.
+    Integer vertex count, tails and heads, no self-loops and no parallel
+    (tail, head) arcs.  Arcs are stored sorted so equal graphs compare and
+    hash equal.
     """
 
     n_vertices: int
     arcs: tuple[Arc, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_vertices, numbers.Integral):
+            raise ValueError(f"vertex count must be an integer, got {self.n_vertices!r}")
         if self.n_vertices < 1:
             raise ValueError("a signed digraph needs at least one vertex")
-        arcs = tuple(sorted((int(t), int(h), check_sign(s)) for t, h, s in self.arcs))
+        try:
+            # operator.index is int() for integers only
+            arcs = tuple(sorted((_integer(t), _integer(h), check_sign(s)) for t, h, s in self.arcs))
+        except TypeError as exc:
+            raise ValueError(f"an arc must be (tail, head, sign) with integer tail and head: {exc}") from None
         # sorted, a repeated (tail, head) directly follows its first copy
         for i, (tail, head, _sign) in enumerate(arcs):
             if not (0 <= tail < self.n_vertices and 0 <= head < self.n_vertices):
@@ -51,13 +71,6 @@ class SignedDigraph:
     def n_arcs(self) -> int:
         return len(self.arcs)
 
-    def out_lists(self) -> list[list[int]]:
-        """Adjacency lists (heads only), sorted per tail."""
-        out: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for tail, head, _sign in self.arcs:
-            out[tail].append(head)
-        return out
-
 
 def make_cycle(length: int, sign: int) -> SignedDigraph:
     """Directed cycle on `length` vertices.
@@ -66,19 +79,10 @@ def make_cycle(length: int, sign: int) -> SignedDigraph:
     (length-1 -> 0).  Only the product of arc signs affects the spectrum,
     so this one canonical placement keeps serialized graphs reproducible.
     """
-    check_sign(sign)
-    if length < 2:
-        raise ValueError(f"cycle length must be >= 2, got {length}")
+    check_cycle(length, sign)
     arcs = [(i, i + 1, 1) for i in range(length - 1)]
     arcs.append((length - 1, 0, int(sign)))
     return SignedDigraph(length, tuple(arcs))
-
-
-def make_path(length: int) -> SignedDigraph:
-    """Directed path on `length` vertices, all arcs positive."""
-    if length < 1:
-        raise ValueError(f"path length must be >= 1, got {length}")
-    return SignedDigraph(length, tuple((i, i + 1, 1) for i in range(length - 1)))
 
 
 def join_with_arc(
@@ -117,14 +121,17 @@ def adjacency_matrix(g: SignedDigraph) -> np.ndarray:
 def strong_components(g: SignedDigraph) -> list[SignedDigraph]:
     """Strongly connected components as induced subdigraphs, in O(V + E).
 
-    Iterative Tarjan labels each vertex with its component.  One pass over
-    the vertices then numbers the components by their smallest original
-    vertex id, the order they are returned in, and relabels each one's
-    vertices 0..k-1 in the order of their original ids; one pass over the
-    arcs hands every arc inside a component to it.
+    Iterative Tarjan labels each vertex with its component: each frame of
+    its work stack is a vertex and the iterator over its remaining heads.
+    One pass over the vertices then numbers the components by their
+    smallest original vertex id, the order they are returned in, and
+    relabels each one's vertices 0..k-1 in the order of their original ids;
+    one pass over the arcs hands every arc inside a component to it.
     """
     n = g.n_vertices
-    adj = g.out_lists()
+    heads: list[list[int]] = [[] for _ in range(n)]
+    for tail, head, _sign in g.arcs:
+        heads[tail].append(head)
     index = [-1] * n
     low = [0] * n
     # component of each vertex, -1 until assigned: a visited vertex with
@@ -136,36 +143,33 @@ def strong_components(g: SignedDigraph) -> list[SignedDigraph]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(heads[root]))]
         while work:
-            v, start = work[-1]
-            if start == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-            descended = False
-            for i in range(start, len(adj[v])):
-                w = adj[v][i]
+            v, rest = work[-1]
+            for w in rest:
                 if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(heads[w])))
                     break
-                if label[w] == -1:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    label[w] = found
-                    if w == v:
-                        break
-                found += 1
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if label[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                # every head of v is done
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = found
+                        if w == v:
+                            break
+                    found += 1
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
 
     renumber: dict[int, int] = {}
     sizes = [0] * found
@@ -195,12 +199,7 @@ class SignedCycle:
     sign: int
 
     def __post_init__(self) -> None:
-        check_sign(self.sign)
-        if self.length < 2:
-            raise ValueError(f"cycle length must be >= 2, got {self.length}")
-
-    def as_digraph(self) -> SignedDigraph:
-        return make_cycle(self.length, self.sign)
+        check_cycle(self.length, self.sign)
 
     def __str__(self) -> str:
         return f"C{self.length}{_SIGN_CHAR[self.sign]}"
@@ -231,10 +230,6 @@ class CyclePair:
     @property
     def total_length(self) -> int:
         return self.c1.length + self.c2.length
-
-    def as_digraph(self) -> SignedDigraph:
-        """A connected witness: the two cycles joined by one positive arc."""
-        return join_with_arc(self.c1.as_digraph(), self.c2.as_digraph(), 0, 0, 1)
 
     def __str__(self) -> str:
         return pair_label(self.c1.length, self.c1.sign, self.c2.length, self.c2.sign)

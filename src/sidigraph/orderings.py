@@ -18,6 +18,7 @@ predicted chains and the reports of `extremal_pairs` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -119,6 +120,9 @@ def _check_sign_class(sign_class: str) -> None:
 
 
 def _check_budget(budget_n: int) -> None:
+    """The budget rule of every entry point: an integer in 4..MAX_BUDGET."""
+    if not isinstance(budget_n, numbers.Integral):
+        raise ValueError(f"budget must be an integer, got {budget_n!r}")
     if budget_n < 4:
         raise ValueError(f"budget must be >= 4, got {budget_n}")
     if budget_n > MAX_BUDGET:
@@ -251,7 +255,8 @@ def restrict(sequence: OrderingSequence, budget_n: int) -> OrderingSequence:
     with the sequence's tie_tol; the result equals ordered_sequence at
     budget_n with that tolerance.
     """
-    if not 4 <= budget_n <= sequence.budget_n:
+    _check_budget(budget_n)
+    if budget_n > sequence.budget_n:
         raise ValueError(f"budget must be in 4..{sequence.budget_n}, got {budget_n}")
     codes = sequence.codes
     fits = codes[:, 0] + codes[:, 2] <= budget_n
@@ -570,8 +575,9 @@ def splice_gap(n: int) -> float:
     pattern holds exactly when this gap stays below 2*sqrt(3) - 2; the gap
     is about 1.463 at n = 22 and decreases for every real n >= 22: its
     derivative is 2[G(n-4) - q(n-6)] < 0, as pi*G < 1 < pi*q by lemmas A
-    and B of `trig`.
+    and B of `trig`.  n is a budget, so at most MAX_BUDGET.
     """
+    _check_budget(n)
     if n < 22 or n % 2 != 0:
         raise ValueError(f"splice gap is defined for even n >= 22, got {n}")
     return iota_energy_cycle(n - 4, -1) - iota_energy_cycle(n - 6, 1)
@@ -623,13 +629,14 @@ def splice_details(n_max: int) -> dict[int, str]:
 def expected_floating_brackets(budget_n: int) -> tuple[CyclePair, CyclePair] | None:
     """Tabulated bracketing rule for the floating pair, bands from 10 to 48.
 
-    Returns (above, below) or None for even budgets outside the tabulated
-    bands, where no rule is claimed.  Caveat: the last band overshoots by
+    Returns (above, below) or None for budgets in 4..MAX_BUDGET outside
+    the tabulated bands, where no rule is claimed.  Caveat: the last band overshoots by
     one step; at n = 48 the numeric ordering already brackets the floating
     pair between (C_12^-, C_34^+) and (C_14^-, C_32^+), so the tabulated
     entry fails there by about 3.6e-3.  locate_floating_pair always
     reports the true numeric position.
     """
+    _check_budget(budget_n)
     bands = [
         (10, 16, 2),
         (18, 22, 4),

@@ -24,19 +24,19 @@ is not finite or lies outside the Gershgorin disc.
 `cycle_eigenvalues_batch` builds the analytic roots of x^n - sign of many
 cycles with one array of angles, and `cycle_root_radii_batch` proves such
 approximations by disjoint inclusion discs, with no root search;
-`cycle_eigenvalues` is the one-cycle call of the first.
+`cycle_eigenvalues` is the one-cycle call of the first.  All three refuse
+what `graphs.check_cycle` refuses.
 """
 from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import SignedDigraph, adjacency_matrix, strong_components
+from .graphs import SignedDigraph, adjacency_matrix, check_cycle, strong_components
 
 # Largest matrix char_poly and largest degree poly_roots accept; eigenvalues
 # refuses a larger strong component unless it is a cycle.  Below it,
@@ -135,8 +135,9 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     n = a.shape[0]
     if n > MAX_DIMENSION:
         raise ValueError(f"matrix dimension {n} exceeds supported maximum {MAX_DIMENSION}")
-    row_sum = float(np.abs(a).sum(axis=1).max(initial=0.0))
-    # a NaN or infinite entry makes the row sum NaN or infinite
+    # a NaN or infinite entry makes the row sum NaN or infinite, as an overflow does (silently)
+    with np.errstate(over="ignore"):
+        row_sum = float(np.abs(a).sum(axis=1).max(initial=0.0))
     if not (math.isfinite(row_sum) and bool((a == np.trunc(a)).all())):
         raise ValueError(f"matrix must be integer-valued with a finite absolute row sum, got row sum {row_sum}")
     # r <= 2^24 is the first step's product bound, and it makes A exact in float32
@@ -262,7 +263,7 @@ def _refusal(z: np.ndarray, iterations: int) -> RootFindingError:
     )
 
 
-def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, bool]:
+def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Aberth-Ehrlich iteration for a monic polynomial with nonzero constant term.
 
     Starts on the circles of the Newton polygon and iterates until every
@@ -272,7 +273,7 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, b
     step evaluates p, p' and the floor only at the active approximations,
     from one power table, and forms their sums of 1/(z_i - z_j) against
     all approximations.  Returns the roots, the number of iterations and
-    whether every residual reached its floor within max_iterations.  Raises
+    whether every residual reached its floor within MAX_ITERATIONS.  Raises
     RootFindingError when two approximations coincide or one is not
     finite: an active one shows it in its sums, and a frozen one is checked
     against all the others when it freezes (a NaN compares as converged).
@@ -286,7 +287,7 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, b
     z = _newton_polygon_start(np.abs(c)).astype(np.complex128)
     active = np.arange(degree)
 
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         (p, dp), size = _evaluate(stack, z[active])
         moving = np.abs(p) > 4.0 * degree * eps * size
         if not moving.all():
@@ -308,7 +309,7 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, int, b
         denom = 1.0 - w * s
         denom[denom == 0] = 1.0
         z[active] -= w / denom
-    return z, max_iterations, False
+    return z, MAX_ITERATIONS, False
 
 
 def poly_roots(p: Polynomial) -> tuple[complex, ...]:
@@ -349,7 +350,7 @@ def poly_roots(p: Polynomial) -> tuple[complex, ...]:
     elif len(reduced) == 2:
         nonzero = np.array([-reduced[0] / reduced[1]], dtype=np.complex128)
     else:
-        nonzero, iterations, converged = _aberth(reduced, MAX_ITERATIONS)
+        nonzero, iterations, converged = _aberth(reduced)
 
     roots = np.concatenate([np.zeros(n_zero, dtype=np.complex128), nonzero])
     values, sizes = _evaluate(coeffs, roots)
@@ -376,6 +377,16 @@ def poly_roots(p: Polynomial) -> tuple[complex, ...]:
     return tuple(roots.tolist())
 
 
+def _check_cycles(lengths: Sequence[int], signs: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lengths and signs as tuples, after checking one sign per cycle and each cycle by check_cycle."""
+    lengths, signs = tuple(lengths), tuple(signs)
+    if len(lengths) != len(signs):
+        raise ValueError(f"need one sign per cycle, got {len(lengths)} lengths and {len(signs)} signs")
+    for n, sign in zip(lengths, signs):
+        check_cycle(n, sign)
+    return lengths, signs
+
+
 def cycle_eigenvalues_batch(lengths: Sequence[int], signs: Sequence[int]) -> np.ndarray:
     """Analytic spectra of many signed cycles, concatenated in their order.
 
@@ -385,16 +396,7 @@ def cycle_eigenvalues_batch(lengths: Sequence[int], signs: Sequence[int]) -> np.
     gives for those angles, bit for bit on hosts whose numpy rounds sin
     and cos as the C library does (the tests check n <= 1000).
     """
-    lengths, signs = tuple(lengths), tuple(signs)
-    if len(lengths) != len(signs):
-        raise ValueError(f"need one sign per cycle, got {len(lengths)} lengths and {len(signs)} signs")
-    for n, sign in zip(lengths, signs):
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        if not isinstance(n, numbers.Integral):
-            raise ValueError(f"a cycle length must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"a cycle needs length >= 1, got {n}")
+    lengths, signs = _check_cycles(lengths, signs)
     counts = np.asarray(lengths, dtype=np.int64)
     n = np.repeat(counts, counts).astype(np.float64)
     k = (np.arange(len(n)) - np.repeat(np.cumsum(counts) - counts, counts)).astype(np.float64)
@@ -556,12 +558,7 @@ def cycle_root_radii_batch(
     The radii do not depend on the batch: each is the one the cycle gets
     alone, bit for bit.
     """
-    lengths, signs = tuple(lengths), tuple(signs)
-    if len(lengths) != len(signs):
-        raise ValueError(f"need one sign per cycle, got {len(lengths)} lengths and {len(signs)} signs")
-    for n, sign in zip(lengths, signs):
-        if n < 2 or sign not in (1, -1):
-            raise ValueError(f"need n >= 2 and sign +1 or -1, got n={n}, sign={sign!r}")
+    lengths, signs = _check_cycles(lengths, signs)
     if not isinstance(approximations, np.ndarray):
         approximations = tuple(approximations)
     z = np.asarray(approximations, dtype=np.complex128)

@@ -20,7 +20,8 @@ that the batched `cycle_root_radii_batch` must match radius for radius;
 `exact_total_details`, `splice_details` and `floating_bracket_details`
 replaced in `verify`, which read the package's pair tables; and
 `reference_cycle_eigenvalues`, the cmath.rect generator that
-`cycle_eigenvalues_batch` must match root for root.
+`cycle_eigenvalues_batch` must match root for root.  `make_path` and
+`pair_digraph` are test graphs built from the package's constructors.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from sidigraph import RootFindingError
+from sidigraph import RootFindingError, SignedDigraph, join_with_arc, make_cycle
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -656,3 +657,16 @@ def reference_cycle_eigenvalues(length: int, sign: int) -> tuple[complex, ...]:
     else:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return tuple(cmath.rect(1.0, a) for a in angles)
+
+
+def make_path(length: int) -> SignedDigraph:
+    """Directed path on `length` vertices, all arcs positive."""
+    if length < 1:
+        raise ValueError(f"path length must be >= 1, got {length}")
+    return SignedDigraph(length, tuple((i, i + 1, 1) for i in range(length - 1)))
+
+
+def pair_digraph(pair) -> SignedDigraph:
+    """A connected witness of a CyclePair: its two cycles joined by one positive arc."""
+    c1, c2 = pair.c1, pair.c2
+    return join_with_arc(make_cycle(c1.length, c1.sign), make_cycle(c2.length, c2.sign), 0, 0, 1)

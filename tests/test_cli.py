@@ -14,10 +14,10 @@ from sidigraph import (
     format_edge_list,
     join_with_arc,
     make_cycle,
-    make_path,
 )
 from sidigraph import cli, trig, verification
 from sidigraph.cli import main
+from oracles import make_path
 from seeded_graphs import chained_blocks, collinear_hull_scc, dense_scc
 
 

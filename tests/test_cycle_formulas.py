@@ -112,6 +112,9 @@ def test_case_labels():
         (1, -1),
         (4, 0),
         (4, 2),
+        # a length is not truncated or rounded: 2.5 and 4.0 are no cycles
+        (2.5, -1),
+        (4.0, 1),
         pytest.param(10**400, 1, id="10^400-1"),
         pytest.param(2**1023 + 1, -1, id="2^1023+1--1"),
     ],

@@ -14,12 +14,11 @@ from sidigraph import (
     format_edge_list,
     join_with_arc,
     make_cycle,
-    make_path,
     parse_edge_list,
     strong_components,
 )
 from sidigraph.graphs import MAX_VERTICES
-from oracles import reachability_components, reference_strong_components
+from oracles import make_path, reachability_components, reference_strong_components
 
 
 def test_make_cycle_small():
@@ -61,6 +60,33 @@ def test_digraph_validation():
         SignedDigraph(2, ((0, 2, 1),))  # out of range
     with pytest.raises(ValueError):
         SignedDigraph(2, ((0, 1, 2),))  # bad sign
+
+
+def test_digraph_refuses_a_vertex_id_that_is_not_an_integer():
+    # 1.7 used to become vertex 1
+    with pytest.raises(ValueError, match=r"^an arc must be \(tail, head, sign\) with integer tail and head: "):
+        SignedDigraph(3, [(0, 1.7, 1)])
+    with pytest.raises(ValueError, match=r"^an arc must be \(tail, head, sign\) with integer tail and head: "):
+        SignedDigraph(3, [(0.0, 1, 1)])
+
+
+def test_digraph_refuses_a_vertex_count_that_is_not_an_integer():
+    with pytest.raises(ValueError, match=r"^vertex count must be an integer, got 2.5$"):
+        SignedDigraph(2.5, ())
+
+
+def test_digraph_takes_numpy_integers_as_python_ints():
+    g = SignedDigraph(np.int64(3), ((np.int64(1), np.int32(2), np.int64(-1)),))
+    assert g.arcs == ((1, 2, -1),)
+    assert all(type(v) is int for v in g.arcs[0])
+
+
+def test_cycles_refuse_a_length_that_is_not_an_integer():
+    for build in (make_cycle, SignedCycle):
+        with pytest.raises(ValueError, match=r"^cycle length must be an integer, got 4.0$"):
+            build(4.0, 1)
+        with pytest.raises(ValueError, match=r"^cycle length must be >= 2, got 1$"):
+            build(1, 1)
 
 
 def test_join_with_arc_counts():

@@ -29,6 +29,7 @@ from sidigraph import graphs, orderings, spectra, verification
 from sidigraph.orderings import MIXED_SIGN, SAME_SIGN
 from oracles import (
     brute_force_sign_pairs,
+    pair_digraph,
     reference_chain_details,
     reference_exact_total_chain,
     reference_exact_total_verdict,
@@ -663,6 +664,25 @@ def test_budget_cap_holds_for_the_strict_descent_checks():
         assert check(1000) == ""
 
 
+@pytest.mark.parametrize(
+    "query, budget",
+    [
+        (lambda n: ordered_sequence(n, SAME_SIGN), 10.0),
+        (extremal_pairs, 10.5),
+        (locate_floating_pair, 10.0),
+        (check_exact_total_chain, 10.0),
+        (verification.run_verification, 30.0),
+        (splice_gap, 22.0),
+        (expected_floating_brackets, 10.0),
+        (lambda n: restrict(ordered_sequence(20, SAME_SIGN), n), 10.5),
+    ],
+)
+def test_a_budget_must_be_an_integer(query, budget):
+    # a float budget was cast by numpy, truncated, or carried into the result
+    with pytest.raises(ValueError, match=rf"^budget must be an integer, got {budget}$"):
+        query(budget)
+
+
 def test_pair_values_read_one_cycle_table(monkeypatch):
     ordered_sequence(4, SAME_SIGN)  # the first _values call builds the table
     calls = []
@@ -783,5 +803,5 @@ def test_extremal_agrees_with_exhaustive_scan(n):
 def test_ordering_values_match_witness_graphs(sign_class):
     seq = ordered_sequence(20, sign_class)
     for e in seq.entries:
-        witness = e.pair.as_digraph()
+        witness = pair_digraph(e.pair)
         assert abs(iota_energy_of_graph(witness) - e.value) <= 1e-8

@@ -22,7 +22,6 @@ from sidigraph import (
     iota_energy_of_graph,
     join_with_arc,
     make_cycle,
-    make_path,
     poly_roots,
     strong_components,
 )
@@ -32,6 +31,7 @@ from oracles import (
     exact_poly_value,
     float_trace_recursion,
     largest_single_precision_bound,
+    make_path,
     match_multisets,
     reference_cycle_eigenvalues,
     reference_cycle_root_radii,
@@ -181,6 +181,14 @@ def test_char_poly_refuses_a_matrix_that_is_not_finite_and_integer_valued(matrix
         char_poly(np.array(matrix))
 
 
+def test_char_poly_refuses_an_overflowing_row_sum_without_a_warning():
+    # every entry is a finite integer, but |1e308| + |1e308| is no double:
+    # the row sum reaches inf, with no overflow warning, and the refusal fires
+    refusal = "^matrix must be integer-valued with a finite absolute row sum, got row sum inf$"
+    with pytest.raises(ValueError, match=refusal):
+        char_poly(np.array([[1e308, 1e308], [0.0, 0.0]]))
+
+
 def test_char_poly_rejects_non_square():
     with pytest.raises(ValueError):
         char_poly(np.zeros((2, 3)))
@@ -220,7 +228,7 @@ def test_residual_contract_refuses_perturbed_roots_of_unity(monkeypatch):
     # the roots of x^50 - 1 scaled by 1 + 1e-6 leave residuals of 5e-5; the
     # earlier bound 1e-10 * (1 + |z|)^50 = 1.1e5 accepted them
     roots = np.exp(2j * np.pi * np.arange(50) / 50) * (1.0 + 1e-6)
-    monkeypatch.setattr(spectra, "_aberth", lambda coeffs, max_iterations: (roots, 5, True))
+    monkeypatch.setattr(spectra, "_aberth", lambda coeffs: (roots, 5, True))
     with pytest.raises(RootFindingError, match="root iteration stalled") as exc:
         poly_roots(Polynomial((-1.0,) + (0.0,) * 49 + (1.0,)))
     assert max(exc.value.residuals) == pytest.approx(5e-5, rel=1e-3)
@@ -230,7 +238,7 @@ def test_poly_roots_refuses_non_finite_root(monkeypatch):
     # (x - 1)(x + 1)(x - 2) with its root 2 returned as NaN: the two finite
     # roots are exact, and the NaN residual is not above its NaN bound
     roots = np.array([1.0, -1.0, np.nan], dtype=np.complex128)
-    monkeypatch.setattr(spectra, "_aberth", lambda coeffs, max_iterations: (roots, 3, True))
+    monkeypatch.setattr(spectra, "_aberth", lambda coeffs: (roots, 3, True))
     with pytest.raises(RootFindingError, match=r"non-finite residual: \|p\(nan") as exc:
         poly_roots(Polynomial((2.0, -1.0, -2.0, 1.0)))
     assert exc.value.iterations == 3
@@ -576,12 +584,15 @@ def test_cycle_eigenvalues_batch_refuses_bad_cycles():
     with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 0$"):
         cycle_eigenvalues(3, 0)
     # a length is not truncated: 2.5 is no cycle, not C_2
-    with pytest.raises(ValueError, match=r"^a cycle length must be an integer, got 2.5$"):
+    with pytest.raises(ValueError, match=r"^cycle length must be an integer, got 2.5$"):
         cycle_eigenvalues(2.5, 1)
-    with pytest.raises(ValueError, match=r"^a cycle length must be an integer, got 4.0$"):
+    with pytest.raises(ValueError, match=r"^cycle length must be an integer, got 4.0$"):
         spectra.cycle_eigenvalues_batch((3, 4.0), (1, -1))
-    with pytest.raises(ValueError, match=r"^a cycle needs length >= 1, got 0$"):
+    with pytest.raises(ValueError, match=r"^cycle length must be >= 2, got 0$"):
         spectra.cycle_eigenvalues_batch((4, 0), (1, 1))
+    # a single vertex is no cycle: x - 1 is not its characteristic polynomial
+    with pytest.raises(ValueError, match=r"^cycle length must be >= 2, got 1$"):
+        cycle_eigenvalues(1, 1)
     with pytest.raises(ValueError, match=r"^need one sign per cycle, got 2 lengths and 1 signs$"):
         spectra.cycle_eigenvalues_batch((4, 5), (1,))
     assert len(spectra.cycle_eigenvalues_batch((), ())) == 0
@@ -763,9 +774,9 @@ def test_cycle_root_discs_need_one_approximation_per_root():
         spectra.cycle_root_radii_batch((3, 4), (1, 1), cycle_eigenvalues(3, 1))
     with pytest.raises(ValueError, match="need one sign per cycle"):
         spectra.cycle_root_radii_batch((3, 4), (1,), cycle_eigenvalues(7, 1))
-    with pytest.raises(ValueError, match="need n >= 2 and sign"):
+    with pytest.raises(ValueError, match=r"^cycle length must be >= 2, got 1$"):
         one_cycle_radii(1, 1, [1.0])
-    with pytest.raises(ValueError, match="need n >= 2 and sign"):
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 0$"):
         one_cycle_radii(3, 0, cycle_eigenvalues(3, 1))
 
 
