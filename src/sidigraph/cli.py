@@ -107,16 +107,13 @@ def _cmd_floating_pair(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = verification.run_verification(args.n_max, tie_tol=args.tolerance)
     failures = [r for r in results if not r.passed]
-    for r in results:
-        if r.passed:
-            print(f"ok   {r.name}")
-        else:
-            print(f"FAIL {r.name}: {r.detail}")
-    print(f"{len(results) - len(failures)}/{len(results)} checks passed")
+    lines = [f"ok   {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}" for r in results]
+    lines.append(f"{len(results) - len(failures)}/{len(results)} checks passed")
     if failures:
-        print(f"first failure: {failures[0].name}: {failures[0].detail}")
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        lines.append(f"first failure: {failures[0].name}: {failures[0].detail}")
+    # one write: a print per check took about 1 ms of the 800 lines at --n-max 100
+    sys.stdout.write("\n".join(lines) + "\n")
+    return EXIT_VERIFICATION if failures else EXIT_OK
 
 
 def _format_component_summary(components: list) -> str:

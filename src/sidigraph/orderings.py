@@ -500,14 +500,14 @@ def chain_details(sequence: OrderingSequence, first_n: int) -> list[str]:
     judged by restrict, _fit and _compare_chain, so its detail is the text
     a check of ordered_sequence at that budget and tolerance gives.
     """
-    if first_n < 4:
-        raise ValueError(f"budget must be in 4..{sequence.budget_n}, got {first_n}")
+    if not (isinstance(first_n, numbers.Integral) and 4 <= first_n <= sequence.budget_n):
+        raise ValueError(f"budget must be in 4..{sequence.budget_n}, got {first_n!r}")
     pattern = _same_sign_pattern if sequence.sign_class == SAME_SIGN else _mixed_pattern
     codes, tied = pattern(sequence.budget_n)
     budgets = np.arange(first_n, sequence.budget_n + 1)
     if _narrow_groups(sequence):
         budgets = budgets[_failing_budgets(sequence, codes, tied)[first_n:]]
-    details = [""] * max(0, sequence.budget_n + 1 - first_n)
+    details = [""] * (sequence.budget_n + 1 - first_n)
     for n in budgets.tolist():
         details[n - first_n] = _compare_chain(restrict(sequence, n), *_fit(codes, tied, n))
     return details

@@ -439,7 +439,7 @@ def _radius_bounds(z: np.ndarray, n: np.ndarray, signs: np.ndarray, modulus_sq: 
     """Step 2 of the proof: a rigorous bound on each disc's radius.
 
     Its own function, so that the powers and their temporaries are freed
-    before the cells are built.
+    before the roots are named.
     """
     u = 2.0**-53
     chain = (n - 1) * 2.25 * u
@@ -474,39 +474,28 @@ def _disc_radii(lengths: np.ndarray, signs: np.ndarray, z: np.ndarray) -> np.nda
         k = off[0]
         raise refuse(f"root approximation {k} = {complex(z[k])} lies off the unit circle")
 
-    radii = _radius_bounds(z, n, np.repeat(signs, lengths), modulus_sq)
+    root_signs = np.repeat(signs, lengths)
+    radii = _radius_bounds(z, n, root_signs, modulus_sq)
     if not np.all(radii * (4 * n) < 1.0):
         wide = int(np.argmax(radii))
         raise refuse(f"root disc {wide} has radius {radii[wide]:.3g}, not below 1/(4n) = {0.25 / n[wide]:.3g}")
 
-    # a cycle numbers its cells row by row over [-2n, 2n]^2, so that a
-    # neighbour's number is an offset, and from a base past all the numbers
-    # of the cycles before it, so that roots of two cycles never meet
-    widths = 4 * lengths + 3
-    areas = widths * widths
-    width = np.repeat(widths, lengths)
-    cells = (np.floor(x * n).astype(np.int64) + 2 * n + 1) * width + np.floor(y * n).astype(np.int64) + 2 * n + 1
-    cells += np.repeat(np.cumsum(areas) - areas, lengths)
-    order = np.argsort(cells, kind="stable")
-    ranked = cells[order]
-    shared = np.flatnonzero(ranked[1:] == ranked[:-1])
-    if len(shared):
-        i, j = order[shared[0]], order[shared[0] + 1]
-        raise refuse(f"root discs not isolated: approximations {i} and {j} share a cell of side 1/{n[i]}")
-    # each neighbouring pair is found from one side: up, lower right, right,
-    # upper right; sorted queries make the searches cheap, and the first
-    # approximation in z with such a neighbour is named
-    width = width[order]
-    for offset in (1, width - 1, width, width + 1):
-        wanted = ranked + offset
-        found = np.minimum(np.searchsorted(ranked, wanted), len(z) - 1)
-        near = np.flatnonzero(ranked[found] == wanted)
-        if len(near):
-            first = near[np.argmin(order[near])]
-            i, j = order[first], order[found[first]]
-            raise refuse(
-                f"root discs not isolated: approximations {i} and {j} lie in neighbouring cells of side 1/{n[i]}"
-            )
+    # the root in disc k is named by arg(z_k) in root spacings, less the
+    # offset of the sign, rounded; a cycle's roots are numbered from its start
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    offset = np.where(root_signs > 0, 0.0, 0.5)
+    turns = np.rint(np.arctan2(y, x) * (n / (2.0 * math.pi)) - offset).astype(np.int64)
+    held = turns % n + starts
+    if np.any(np.bincount(held, minlength=len(z)) > 1):
+        # name the first approximation whose root an earlier one holds
+        order = np.argsort(held, kind="stable")
+        again = np.flatnonzero(held[order[1:]] == held[order[:-1]])
+        p = again[np.argmin(order[again + 1])]
+        i, j = order[p], order[p + 1]
+        raise refuse(
+            f"root discs not isolated: approximations {i} and {j} both hold root {held[i] - starts[i]} "
+            f"of x^{n[i]} {'-' if root_signs[i] > 0 else '+'} 1"
+        )
     return radii
 
 
@@ -543,15 +532,19 @@ def cycle_root_radii_batch(
        roundings of the formula that is less than 24u in all, which a last
        factor 1 + 32u covers.
     3. One root per disc, each root once.  The roots are at least
-       2 sin(pi/n) >= 4/n apart, so a disc of radius below 1/(4n) holds at
-       most one, and by step 1 at least one.  Two such discs share no root
-       when their centres are more than 1/(2n) apart.  The z_k are bucketed
-       into cells of side 1/n by floor(x n) and floor(y n); when no other
-       z of the cycle lies in a point's 3 x 3 block of cells, every pair
-       differs by more than 1/n, less a rounding of x n, in one coordinate.
-       The cells are keyed by cycle, so roots of two cycles never meet, as
-       the roots +-1 and +-i of C_4^+ and C_8^+ must not.  That is one sort
-       and four searches over the whole batch, not all pairs.
+       2 sin(pi/n) >= 4/n apart, so a disc of radius r < 1/(4n) holds at
+       most one, and by step 1 at least one.  That root w has |w| = 1 and
+       |w - z_k| < r, so arg w is within arcsin(r) < arcsin(1/(4n)) of
+       arg z_k: with n/(2 pi) of that, less than 0.04 of the root spacing
+       2 pi/n (worst at n = 2, about 1/(8 pi) for large n).  So
+       rint(atan2(y, x) n/(2 pi) - offset) mod n is w's index k, with
+       offset 0 for sign +1 and 1/2 for sign -1; the roundings of atan2
+       and of the product move it by a few u times n, far inside the
+       margin of 0.46.  The indices
+       are numbered from each cycle's start, so roots of two cycles never
+       meet, as the roots +-1 and +-i of C_4^+ and C_8^+ must not, and the
+       discs hold different roots exactly when one bincount over the batch
+       is at most 1 everywhere.
 
     The steps run over all the cycles at once; when one is refused, each
     cycle is proven again alone, so that each gets its own first refusal.

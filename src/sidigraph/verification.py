@@ -18,7 +18,7 @@ them with another.
 """
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +49,8 @@ class CheckResult:
 
 def run_verification(n_max: int, tie_tol: float = orderings.TIE_TOL) -> list[CheckResult]:
     """Every applicable check for budgets up to n_max, in a fixed order."""
+    if not isinstance(n_max, numbers.Integral):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 4:
         raise ValueError(f"n_max must be >= 4, got {n_max}")
     if n_max > orderings.MAX_BUDGET:
@@ -58,10 +60,11 @@ def run_verification(n_max: int, tie_tol: float = orderings.TIE_TOL) -> list[Che
     # Each budget's ordering and prediction are the n_max ones cut to the pairs that fit.
     same_sign = orderings.ordered_sequence(n_max, orderings.SAME_SIGN, tie_tol=tie_tol)
     mixed = orderings.ordered_sequence(n_max, orderings.MIXED_SIGN, exclude_floating=True, tie_tol=tie_tol)
-    for n, detail in enumerate(orderings.chain_details(same_sign, 22), start=22):
-        results.append(CheckResult(f"same-sign chain n={n}", detail))
-    for n, detail in enumerate(orderings.chain_details(mixed, 6), start=6):
-        results.append(CheckResult(f"mixed chain n={n}", detail))
+    # each chain is stated from its first budget on
+    for label, sequence, first_n in (("same-sign", same_sign, 22), ("mixed", mixed, 6)):
+        if n_max >= first_n:
+            for n, detail in enumerate(orderings.chain_details(sequence, first_n), start=first_n):
+                results.append(CheckResult(f"{label} chain n={n}", detail))
     for n, detail in orderings.exact_total_details(n_max).items():
         results.append(CheckResult(f"exact-total chain n={n}", detail))
     for n, detail in orderings.splice_details(n_max).items():
@@ -94,34 +97,58 @@ def _cycle_batches(n_max: int):
     yield batch
 
 
+def _cycle_sums(lengths: np.ndarray, z: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cycle of z: the energy and the iota energy of its approximations,
+    each summed by one reduceat, and a bound on how far either lies from
+    that of its exact roots.
+
+    The exact roots lie one each in the proven discs, so |Re| and |Im| of
+    each root differ from the approximation's by at most its radius, and
+    the exact energies by at most the radius sum R.  A sum of m
+    nonnegative terms in any order is within gamma S of the exact sum S,
+    gamma = (m-1)u / (1 - (m-1)u), u = 2^-53 (Higham 2002, section 4.2), so
+    S <= s / (1 - gamma) for the computed s, and s is within
+    g s of S with g = gamma / (1 - gamma) = (m-1)u / (1 - 2(m-1)u).  The
+    computed radius sum r bounds R by r (1 + g), so the bound is
+    r + g (r + max(energy, iota energy)).  That and g take five
+    roundings, the last factor 1 + 16u one more, each of relative size at
+    most u, so the factor rounds the bound upward.
+    """
+    starts = np.cumsum(lengths) - lengths
+    energies = np.add.reduceat(np.abs(z.real), starts)
+    iotas = np.add.reduceat(np.abs(z.imag), starts)
+    radius_sums = np.add.reduceat(radii, starts)
+    u = 2.0**-53
+    g = (lengths - 1) * u / (1.0 - 2.0 * (lengths - 1) * u)
+    bounds = (radius_sums + g * (radius_sums + np.maximum(energies, iotas))) * (1.0 + 16.0 * u)
+    return energies, iotas, bounds
+
+
 def _cycle_checks(batch: list[tuple[int, int]]) -> list[CheckResult]:
     """The cycle checks of a batch: each passes when both closed forms of
     C_n^sign lie within ORACLE_TOL of its spectrum.
 
     A directed n-cycle's only linear subdigraph is the cycle itself, so its
-    spectrum is the roots of det(xI - A) = x^n - sign (Harary 1962).  They
-    lie one each in the proven discs around the analytic approximations,
-    so |Re| and |Im| of each root differ from the approximation's by at
-    most its radius; fsum rounds each energy once, by at most half an ulp.
-    The whole batch is built in one call and proven in another; a refused
-    cycle fails with its refusal as the detail.
+    spectrum is the roots of det(xI - A) = x^n - sign (Harary 1962).  The
+    whole batch is built in one call and proven in another, and its sums
+    and their bounds are taken by _cycle_sums; a cycle passes when the
+    larger difference of a closed form from its sum, plus the bound, is at
+    most ORACLE_TOL.  A refused cycle fails with its refusal as the detail.
     """
     lengths, signs = zip(*batch)
     z = cycle_eigenvalues_batch(lengths, signs)
     radii, refusals = cycle_root_radii_batch(lengths, signs, z)
-    real, imag = np.abs(z.real), np.abs(z.imag)
+    energies, iotas, bounds = _cycle_sums(np.asarray(lengths), z, radii)
+    closed = np.array([(energy_cycle(n, sign), iota_energy_cycle(n, sign)) for n, sign in batch])
+    worst = np.maximum(np.abs(closed[:, 0] - energies), np.abs(closed[:, 1] - iotas))
+    passed = worst + bounds <= ORACLE_TOL
     results = []
-    start = 0
-    for (n, sign), refusal in zip(batch, refusals):
-        end = start + n
+    for (n, sign), refusal, ok, difference, bound in zip(
+        batch, refusals, passed.tolist(), worst.tolist(), bounds.tolist()
+    ):
         if refusal is not None:
             detail = str(refusal)
         else:
-            # fsum reads a list much faster than an array
-            sums = math.fsum(real[start:end].tolist()), math.fsum(imag[start:end].tolist())
-            worst = max(abs(energy_cycle(n, sign) - sums[0]), abs(iota_energy_cycle(n, sign) - sums[1]))
-            bound = math.fsum(radii[start:end].tolist()) + math.ulp(max(sums))
-            detail = "" if worst + bound <= ORACLE_TOL else f"difference {worst:.3g} + root bound {bound:.3g}"
+            detail = "" if ok else f"difference {difference:.3g} + root bound {bound:.3g}"
         results.append(CheckResult(f"cycle closed form vs spectrum n={n} sign={'+' if sign > 0 else '-'}", detail))
-        start = end
     return results

@@ -433,6 +433,21 @@ def test_chain_details_refuse_a_budget_below_4():
         orderings.chain_details(ordered_sequence(30, SAME_SIGN), 3)
 
 
+@pytest.mark.parametrize("first_n", [6.0, 31, 10.5])
+def test_chain_details_refuse_a_first_budget_that_is_not_one_of_the_sequence(first_n):
+    # a float was a TypeError from a slice, and 31 an empty list
+    with pytest.raises(ValueError, match=rf"^budget must be in 4\.\.30, got {first_n}$"):
+        orderings.chain_details(ordered_sequence(30, SAME_SIGN), first_n)
+
+
+def test_verify_runs_each_chain_from_its_first_budget():
+    names = [r.name for r in verification.run_verification(5)]
+    assert not [name for name in names if name.startswith(("same-sign chain", "mixed chain"))]
+    names = [r.name for r in verification.run_verification(21)]
+    assert not [name for name in names if name.startswith("same-sign chain")]
+    assert [name for name in names if name.startswith("mixed chain")][0] == "mixed chain n=6"
+
+
 def test_verify_restricts_no_budget_at_the_default_tolerance(monkeypatch):
     restricted = []
 
@@ -678,8 +693,10 @@ def test_budget_cap_holds_for_the_strict_descent_checks():
     ],
 )
 def test_a_budget_must_be_an_integer(query, budget):
-    # a float budget was cast by numpy, truncated, or carried into the result
-    with pytest.raises(ValueError, match=rf"^budget must be an integer, got {budget}$"):
+    # a float budget was cast by numpy, truncated, or carried into the result;
+    # run_verification names its own argument before any ordering is built
+    name = "n_max" if query is verification.run_verification else "budget"
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {budget}$"):
         query(budget)
 
 

@@ -630,8 +630,8 @@ def test_cycle_root_discs_isolated_and_tight_up_to_1000():
 
 def test_cycle_root_discs_of_two_cycles_never_meet(monkeypatch):
     # C4+ and C8+ share the roots +-1 and +-i, and C8+ given twice shares
-    # all eight, which within one cycle would be approximations sharing a
-    # cell; the batch is proven in one pass, not again cycle by cycle
+    # all eight, which within one cycle would be approximations holding the
+    # same root; the batch is proven in one pass, not again cycle by cycle
     proofs = []
     prove = spectra._disc_radii
 
@@ -664,6 +664,28 @@ def test_cycle_root_bound_holds_against_50_digit_roots(n, sign):
             assert abs(mpmath.mpf(got) - exact) <= bound + math.ulp(got)
 
 
+@pytest.mark.parametrize("n", [3, 64, 997])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cycle_sum_bound_holds_against_50_digit_roots(n, sign):
+    # verify's reduceat sums of a cycle lie within its bound of the energies
+    # of the exact roots; with no radii, the bound still covers the rounding
+    # of the sums against the exact sums of the approximations
+    mpmath = pytest.importorskip("mpmath")
+    z = spectra.cycle_eigenvalues_batch((n,), (sign,))
+    lengths = np.array([n])
+    (energy_sum,), (iota_sum,), (bound,) = verification._cycle_sums(lengths, z, one_cycle_radii(n, sign, z))
+    *_, (rounding,) = verification._cycle_sums(lengths, z, np.zeros(n))
+    assert 0.0 < rounding < bound <= 1e-9
+    with mpmath.workdps(50):
+        offset = 0 if sign == 1 else 1
+        roots = [mpmath.expjpi(mpmath.mpf(2 * k + offset) / n) for k in range(n)]
+        for part, got in ((mpmath.re, energy_sum), (mpmath.im, iota_sum)):
+            exact = mpmath.fsum(abs(part(w)) for w in roots)
+            assert abs(mpmath.mpf(float(got)) - exact) <= bound
+            summed = mpmath.fsum(abs(part(complex(w))) for w in z)
+            assert abs(mpmath.mpf(float(got)) - summed) <= rounding
+
+
 def test_cycle_root_discs_hold_the_roots_of_perturbed_approximations():
     # scaled by 1.001 the approximations are poor, but each disc still holds its root
     n, sign = 5, 1
@@ -674,10 +696,16 @@ def test_cycle_root_discs_hold_the_roots_of_perturbed_approximations():
         assert radius == pytest.approx(abs(z**n - sign) / abs(z) ** (n - 1), rel=1e-12)
 
 
+ISOLATION = "root discs not isolated: approximations "
+
+
 def _refusal_in_a_batch(n, sign, approximations):
     """The refusal of a cycle proven in one batch between C6- and C9+;
-    checks that they are proven as alone, and that the refusal is the
-    reference's, with the cycle's approximations as its roots."""
+    checks that they are proven as alone, that the reference refuses the
+    cycle too, and that the refusal is the reference's, with the cycle's
+    approximations as its roots.  The reference isolates the discs by
+    cells, not by the roots they hold, so an isolation refusal names its
+    pair in its own words."""
     before, after = cycle_eigenvalues(6, -1), cycle_eigenvalues(9, 1)
     radii, refusals = spectra.cycle_root_radii_batch(
         (6, n, 9), (-1, sign, 1), before + tuple(approximations) + after
@@ -689,16 +717,19 @@ def _refusal_in_a_batch(n, sign, approximations):
     refusal = refusals[1]
     assert isinstance(refusal, RootFindingError)
     assert np.array_equal(refusal.roots, np.asarray(approximations, dtype=complex), equal_nan=True)
-    with pytest.raises(RootFindingError) as alone:
+    with pytest.raises(RootFindingError) as reference:
         reference_cycle_root_radii(n, sign, approximations)
-    assert str(refusal) == str(alone.value)
+    if str(reference.value).startswith(ISOLATION):
+        assert str(refusal).startswith(ISOLATION)
+    else:
+        assert str(refusal) == str(reference.value)
     return refusal
 
 
 def test_cycle_root_discs_refuse_coinciding_approximations():
     approximations = list(cycle_eigenvalues(7, 1))
     approximations[3] = approximations[2]
-    refusal = "root discs not isolated: approximations 2 and 3 share a cell"
+    refusal = r"^root discs not isolated: approximations 2 and 3 both hold root 2 of x\^7 - 1$"
     with pytest.raises(RootFindingError, match=refusal) as caught:
         one_cycle_radii(7, 1, approximations)
     assert caught.value.roots == tuple(approximations)
@@ -706,10 +737,11 @@ def test_cycle_root_discs_refuse_coinciding_approximations():
 
 
 def test_cycle_root_discs_refuse_neighbours_across_a_cell_edge():
-    # 1 lies on an edge of the cells of side 1/7; one ulp below it is across
+    # 1 lies on an edge of the reference's cells of side 1/7; one ulp below
+    # it is across, in a neighbouring cell, and its disc holds the root 1
     approximations = list(cycle_eigenvalues(7, 1))
     approximations[3] = complex(1.0 - 2.0**-53, 0.0)
-    refusal = "root discs not isolated: approximations 3 and 0 lie in neighbouring cells"
+    refusal = r"^root discs not isolated: approximations 0 and 3 both hold root 0 of x\^7 - 1$"
     with pytest.raises(RootFindingError, match=refusal) as caught:
         one_cycle_radii(7, 1, approximations)
     assert str(_refusal_in_a_batch(7, 1, approximations)) == str(caught.value)
@@ -746,8 +778,9 @@ def test_cycle_root_discs_refuse_only_the_cycle_that_fails():
 
 def test_cycle_root_discs_refuse_near_duplicates_as_the_reference():
     # an approximation moved onto 1, -1, i or -i, or one ulp off it, shares a
-    # cell or lies in a neighbouring cell with the root there; with several
-    # such pairs the refusal names the same one as the reference
+    # cell or lies in a neighbouring cell with the root there; the proof
+    # refuses exactly the inputs the reference refuses, and names the first
+    # approximation whose nearest root an earlier one is nearest to
     rng = random.Random(11)
     causes = set()
     for _ in range(300):
@@ -758,13 +791,21 @@ def test_cycle_root_discs_refuse_near_duplicates_as_the_reference():
             x, y = (v if rng.random() < 0.5 else math.nextafter(v, rng.choice((-2, 2))) for v in (edge.real, edge.imag))
             approximations[rng.randrange(n)] = complex(x, y)
         try:
-            reference_cycle_root_radii(n, 1, approximations)
-        except RootFindingError:
+            expected = reference_cycle_root_radii(n, 1, approximations)
+        except RootFindingError as reference:
             refusal = _refusal_in_a_batch(n, 1, approximations)
             with pytest.raises(RootFindingError, match=re.escape(str(refusal))):
                 one_cycle_radii(n, 1, approximations)
-            causes.add("share a cell" if "share a cell" in str(refusal) else "neighbouring")
-    assert causes == {"share a cell", "neighbouring"}
+            roots = cycle_eigenvalues(n, 1)
+            nearest = [min(range(n), key=lambda k: abs(z - roots[k])) for z in approximations]
+            j = next(j for j in range(n) if nearest[j] in nearest[:j])
+            i = nearest.index(nearest[j])
+            assert str(refusal) == f"{ISOLATION}{i} and {j} both hold root {nearest[j]} of x^{n} - 1"
+            causes.add("share a cell" if "share a cell" in str(reference) else "neighbouring")
+        else:
+            assert np.array_equal(one_cycle_radii(n, 1, approximations), expected)
+            causes.add("proven")
+    assert causes == {"share a cell", "neighbouring", "proven"}
 
 
 def test_cycle_root_discs_need_one_approximation_per_root():
