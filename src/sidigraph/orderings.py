@@ -14,6 +14,10 @@ table.  `CyclePair` and `OrderingEntry` objects are built only for callers
 that read them: `enumerate_pairs`, `OrderingSequence.entries`, the
 predicted chains and the reports of `extremal_pairs` and
 `locate_floating_pair`.
+
+Three facts every claim rests on are stated here once: the budget rule
+(`_check_budget`), both closed forms of each signed cycle by length
+(`_cycle_table`) and the paper's floating-pair brackets (`_FLOATING_BRACKETS`).
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .cycle_formulas import iota_energy_cycle
+from .cycle_formulas import energy_cycle, iota_energy_cycle
 from .graphs import CyclePair, SignedCycle, pair_label
 
 SAME_SIGN = "same_sign"
@@ -119,14 +123,14 @@ def _check_sign_class(sign_class: str) -> None:
         raise ValueError(f"sign_class must be {SAME_SIGN!r} or {MIXED_SIGN!r}")
 
 
-def _check_budget(budget_n: int) -> None:
-    """The budget rule of every entry point: an integer in 4..MAX_BUDGET."""
-    if not isinstance(budget_n, numbers.Integral):
-        raise ValueError(f"budget must be an integer, got {budget_n!r}")
-    if budget_n < 4:
-        raise ValueError(f"budget must be >= 4, got {budget_n}")
-    if budget_n > MAX_BUDGET:
-        raise ValueError(f"budget must be <= {MAX_BUDGET}, got {budget_n}")
+def _check_budget(n: int, most: int = MAX_BUDGET, name: str = "budget") -> None:
+    """The budget rule of every entry point: n, named name in a refusal, is an integer in 4..most."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 4:
+        raise ValueError(f"{name} must be >= 4, got {n}")
+    if n > most:
+        raise ValueError(f"{name} must be <= {most}, got {n}")
 
 
 def _pair(l1: int, s1: int, l2: int, s2: int) -> CyclePair:
@@ -172,11 +176,10 @@ def enumerate_pairs(budget_n: int, sign_class: str) -> list[CyclePair]:
 
 @cache
 def _cycle_table() -> np.ndarray:
-    """iota_energy_cycle(length, sign) at row length/2 - 1, column (sign + 1)/2,
-    for every even length up to MAX_BUDGET; built on first use, read-only."""
-    table = np.array(
-        [[iota_energy_cycle(length, sign) for sign in (-1, 1)] for length in range(2, MAX_BUDGET + 1, 2)]
-    )
+    """(energy_cycle(n, sign), iota_energy_cycle(n, sign)) at [n, (sign + 1) // 2]
+    for every n in 2..MAX_BUDGET, rows 0 and 1 NaN; built on first use, read-only."""
+    rows = [[(energy_cycle(n, s), iota_energy_cycle(n, s)) for s in (-1, 1)] for n in range(2, MAX_BUDGET + 1)]
+    table = np.concatenate([np.full((2, 2, 2), np.nan), rows])
     table.flags.writeable = False
     return table
 
@@ -184,14 +187,11 @@ def _cycle_table() -> np.ndarray:
 def _values(codes: np.ndarray) -> np.ndarray:
     """Iota energy of each row: the c1 cycle's value plus the c2 cycle's.
 
-    Both are read from _cycle_table, so a row's value is bit-identical to
-    pair_iota of its pair; every caller keeps its totals within MAX_BUDGET.
+    Both are read from _cycle_table by length, so a row's value is bit-identical
+    to pair_iota of its pair; every caller keeps its totals within MAX_BUDGET.
     """
-    cycle = _cycle_table()
-    return (
-        cycle[codes[:, 0] // 2 - 1, (codes[:, 1] + 1) // 2]
-        + cycle[codes[:, 2] // 2 - 1, (codes[:, 3] + 1) // 2]
-    )
+    iota = _cycle_table()[:, :, 1]
+    return iota[codes[:, 0], (codes[:, 1] + 1) // 2] + iota[codes[:, 2], (codes[:, 3] + 1) // 2]
 
 
 def _tie_break_keys(codes: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -255,9 +255,7 @@ def restrict(sequence: OrderingSequence, budget_n: int) -> OrderingSequence:
     with the sequence's tie_tol; the result equals ordered_sequence at
     budget_n with that tolerance.
     """
-    _check_budget(budget_n)
-    if budget_n > sequence.budget_n:
-        raise ValueError(f"budget must be in 4..{sequence.budget_n}, got {budget_n}")
+    _check_budget(budget_n, most=sequence.budget_n)
     codes = sequence.codes
     fits = codes[:, 0] + codes[:, 2] <= budget_n
     return _sorted(budget_n, sequence.sign_class, codes[fits], sequence.values[fits], sequence.tie_tol)
@@ -500,8 +498,7 @@ def chain_details(sequence: OrderingSequence, first_n: int) -> list[str]:
     judged by restrict, _fit and _compare_chain, so its detail is the text
     a check of ordered_sequence at that budget and tolerance gives.
     """
-    if not (isinstance(first_n, numbers.Integral) and 4 <= first_n <= sequence.budget_n):
-        raise ValueError(f"budget must be in 4..{sequence.budget_n}, got {first_n!r}")
+    _check_budget(first_n, most=sequence.budget_n)
     pattern = _same_sign_pattern if sequence.sign_class == SAME_SIGN else _mixed_pattern
     codes, tied = pattern(sequence.budget_n)
     budgets = np.arange(first_n, sequence.budget_n + 1)
@@ -555,7 +552,7 @@ def check_exact_total_chain(n: int) -> str:
     not exceed MAX_BUDGET, above which the drops are not known to exceed
     TIE_TOL.  The one-total call of exact_total_details.
     """
-    if n <= 4 or n % 2 != 0:
+    if isinstance(n, numbers.Integral) and (n <= 4 or n % 2 != 0):
         raise ValueError(f"total must be even and > 4, got {n}")
     _check_budget(n)
     return _exact_total_details(np.array([n]))[0]
@@ -575,12 +572,19 @@ def splice_gap(n: int) -> float:
     pattern holds exactly when this gap stays below 2*sqrt(3) - 2; the gap
     is about 1.463 at n = 22 and decreases for every real n >= 22: its
     derivative is 2[G(n-4) - q(n-6)] < 0, as pi*G < 1 < pi*q by lemmas A
-    and B of `trig`.  n is a budget, so at most MAX_BUDGET.
+    and B of `trig`.  n is a budget, so at most MAX_BUDGET.  Read off
+    _cycle_table by _splice_gaps, as splice_details reads every gap.
     """
     _check_budget(n)
     if n < 22 or n % 2 != 0:
         raise ValueError(f"splice gap is defined for even n >= 22, got {n}")
-    return iota_energy_cycle(n - 4, -1) - iota_energy_cycle(n - 6, 1)
+    return float(_splice_gaps(n))
+
+
+def _splice_gaps(ns: int | np.ndarray) -> float | np.ndarray:
+    """splice_gap of an int, or of each n of an int array, without its checks."""
+    iota = _cycle_table()[:, :, 1]
+    return iota[ns - 4, 0] - iota[ns - 6, 1]
 
 
 def _splice_details(ns: np.ndarray) -> list[str]:
@@ -597,9 +601,10 @@ def _splice_details(ns: np.ndarray) -> list[str]:
     # (n, row, column), so that the i-th n holds chains 2i and 2i + 1, three rows each
     chains = np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows], axis=1).reshape(-1, 4)
     details = _strict_descent_details(chains, _values(chains), np.full(2 * len(ns), 3))
+    too_large = _splice_gaps(ns) >= 2.0 * math.sqrt(3.0) - 2.0
     return [
-        first or second or (f"splice gap too large at n={n}" if splice_gap(n) >= 2.0 * math.sqrt(3.0) - 2.0 else "")
-        for n, first, second in zip(ns.tolist(), details[0::2], details[1::2])
+        first or second or (f"splice gap too large at n={n}" if large else "")
+        for n, first, second, large in zip(ns.tolist(), details[0::2], details[1::2], too_large.tolist())
     ]
 
 
@@ -613,7 +618,7 @@ def check_splice_inequalities(n: int) -> str:
     exceed MAX_BUDGET, as for check_exact_total_chain.  The one-n call of
     splice_details.
     """
-    if n < 22 or n % 2 != 0:
+    if isinstance(n, numbers.Integral) and (n < 22 or n % 2 != 0):
         raise ValueError(f"splice inequalities need even n >= 22, got {n}")
     _check_budget(n)
     return _splice_details(np.array([n]))[0]
@@ -626,30 +631,28 @@ def splice_details(n_max: int) -> dict[int, str]:
     return dict(zip(ns.tolist(), _splice_details(ns)))
 
 
-def expected_floating_brackets(budget_n: int) -> tuple[CyclePair, CyclePair] | None:
-    """Tabulated bracketing rule for the floating pair, bands from 10 to 48.
+# The paper's floating-pair brackets: at each even n of a band lo..hi, the code
+# rows of (C_m^-, C_{n-m-2}^+) above the floating pair and (C_{m+2}^-, C_{n-m-4}^+) below.
+_FLOATING_BRACKETS = {
+    n: ((m, -1, n - m - 2, 1), (m + 2, -1, n - m - 4, 1))
+    for lo, hi, m in ((10, 16, 2), (18, 22, 4), (24, 30, 6), (32, 38, 8), (40, 48, 10))
+    for n in range(lo, hi + 1, 2)
+}
 
-    Returns (above, below) or None for budgets in 4..MAX_BUDGET outside
-    the tabulated bands, where no rule is claimed.  Caveat: the last band overshoots by
-    one step; at n = 48 the numeric ordering already brackets the floating
-    pair between (C_12^-, C_34^+) and (C_14^-, C_32^+), so the tabulated
-    entry fails there by about 3.6e-3.  locate_floating_pair always
-    reports the true numeric position.
+
+def expected_floating_brackets(budget_n: int) -> tuple[CyclePair, CyclePair] | None:
+    """Tabulated bracketing rule for the floating pair, as (above, below).
+
+    None for budgets in 4..MAX_BUDGET that no band of the table holds, odd
+    ones included, where no rule is claimed.  Caveat: the last band
+    overshoots by one step; at n = 48 the numeric ordering already brackets
+    the floating pair between (C_12^-, C_34^+) and (C_14^-, C_32^+), so the
+    tabulated entry fails there by about 3.6e-3.  locate_floating_pair
+    always reports the true numeric position.
     """
     _check_budget(budget_n)
-    bands = [
-        (10, 16, 2),
-        (18, 22, 4),
-        (24, 30, 6),
-        (32, 38, 8),
-        (40, 48, 10),
-    ]
-    for lo, hi, m in bands:
-        if lo <= budget_n <= hi:
-            above = _pair(m, -1, budget_n - m - 2, 1)
-            below = _pair(m + 2, -1, budget_n - m - 4, 1)
-            return above, below
-    return None
+    rows = _FLOATING_BRACKETS.get(budget_n)
+    return None if rows is None else (_pair(*rows[0]), _pair(*rows[1]))
 
 
 def _floating_neighbours(sequence: OrderingSequence, budget_n: int) -> tuple[int, int | None, int | None]:
@@ -672,7 +675,7 @@ def _floating_neighbours(sequence: OrderingSequence, budget_n: int) -> tuple[int
 
 def locate_floating_pair(budget_n: int) -> FloatingPairReport:
     """Rank and neighbors of (C_{n-2}^-, C_2^+) in the full mixed ordering."""
-    if budget_n % 2 != 0 or budget_n < 10:
+    if isinstance(budget_n, numbers.Integral) and (budget_n % 2 != 0 or budget_n < 10):
         raise ValueError(f"floating pair needs an even budget >= 10, got {budget_n}")
     sequence = ordered_sequence(budget_n, MIXED_SIGN, exclude_floating=False)
     i, above, below = _floating_neighbours(sequence, budget_n)
@@ -684,13 +687,15 @@ def locate_floating_pair(budget_n: int) -> FloatingPairReport:
     )
 
 
-def _bracket_mismatch(budget_n: int, got_above: CyclePair | None, got_below: CyclePair | None) -> str | None:
-    expected = expected_floating_brackets(budget_n)
+def _bracket_mismatch(budget_n: int, got: tuple[tuple[int, ...] | None, ...]) -> str | None:
+    """How got, the code rows above and below the floating pair of budget_n (None past an
+    end), miss its bracket in _FLOATING_BRACKETS: None where it has none, "" on a match."""
+    expected = _FLOATING_BRACKETS.get(budget_n)
     if expected is None:
         return None
-    above, below = expected
-    if (got_above, got_below) == (above, below):
+    if got == expected:
         return ""
+    above, below, got_above, got_below = (None if row is None else pair_label(*row) for row in expected + got)
     return f"expected between {above} and {below}, got {got_above} and {got_below}"
 
 
@@ -699,13 +704,13 @@ def floating_bracket_mismatch(report: FloatingPairReport) -> str | None:
 
     None where no bracket is stated for the budget, "" on a match.
     """
-    got_above = report.above.pair if report.above else None
-    got_below = report.below.pair if report.below else None
-    return _bracket_mismatch(report.budget_n, got_above, got_below)
+    pairs = [None if e is None else e.pair for e in (report.above, report.below)]
+    got = tuple(None if p is None else (p.c1.length, p.c1.sign, p.c2.length, p.c2.sign) for p in pairs)
+    return _bracket_mismatch(report.budget_n, got)
 
 
 def floating_bracket_details(n_max: int) -> dict[int, str]:
-    """floating_bracket_mismatch(locate_floating_pair(n)) of each even n 10..n_max with a tabulated bracket, by n.
+    """floating_bracket_mismatch(locate_floating_pair(n)) of each n <= n_max in _FLOATING_BRACKETS, by n.
 
     All budgets read one full mixed ordering, at the largest of them, whose
     tie groups must be narrow (see _narrow_groups): then the budget-n
@@ -713,7 +718,7 @@ def floating_bracket_details(n_max: int) -> dict[int, str]:
     those rows.  A wide group raises RuntimeError naming the budget.
     """
     _check_budget(n_max)
-    budgets = [n for n in range(10, n_max + 1, 2) if expected_floating_brackets(n) is not None]
+    budgets = [n for n in _FLOATING_BRACKETS if n <= n_max]
     if not budgets:
         return {}
     sequence = ordered_sequence(budgets[-1], MIXED_SIGN)
@@ -721,9 +726,9 @@ def floating_bracket_details(n_max: int) -> dict[int, str]:
         raise RuntimeError(f"mixed ordering at budget {budgets[-1]} has a tie group wider than {sequence.tie_tol}")
     details = {}
     for n in budgets:
-        _, above, below = _floating_neighbours(sequence, n)
-        pairs = [None if i is None else _pair(*sequence.codes[i].tolist()) for i in (above, below)]
-        details[n] = _bracket_mismatch(n, *pairs)
+        _, *neighbours = _floating_neighbours(sequence, n)
+        got = tuple(None if i is None else tuple(sequence.codes[i].tolist()) for i in neighbours)
+        details[n] = _bracket_mismatch(n, got)
     return details
 
 

@@ -18,13 +18,11 @@ them with another.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import orderings, trig
-from .cycle_formulas import energy_cycle, iota_energy_cycle
 # eigenvalues is unused here but stays importable: perfbench's tracer test
 # looks it up on this module by name.
 from .spectra import cycle_eigenvalues_batch, cycle_root_radii_batch, eigenvalues  # noqa: F401
@@ -49,12 +47,7 @@ class CheckResult:
 
 def run_verification(n_max: int, tie_tol: float = orderings.TIE_TOL) -> list[CheckResult]:
     """Every applicable check for budgets up to n_max, in a fixed order."""
-    if not isinstance(n_max, numbers.Integral):
-        raise ValueError(f"n_max must be an integer, got {n_max!r}")
-    if n_max < 4:
-        raise ValueError(f"n_max must be >= 4, got {n_max}")
-    if n_max > orderings.MAX_BUDGET:
-        raise ValueError(f"n_max must be <= {orderings.MAX_BUDGET}, got {n_max}")
+    orderings._check_budget(n_max, name="n_max")
     results: list[CheckResult] = []
 
     # Each budget's ordering and prediction are the n_max ones cut to the pairs that fit.
@@ -131,15 +124,16 @@ def _cycle_checks(batch: list[tuple[int, int]]) -> list[CheckResult]:
     A directed n-cycle's only linear subdigraph is the cycle itself, so its
     spectrum is the roots of det(xI - A) = x^n - sign (Harary 1962).  The
     whole batch is built in one call and proven in another, and its sums
-    and their bounds are taken by _cycle_sums; a cycle passes when the
-    larger difference of a closed form from its sum, plus the bound, is at
-    most ORACLE_TOL.  A refused cycle fails with its refusal as the detail.
+    and their bounds are taken by _cycle_sums, its closed forms read off
+    orderings._cycle_table; a cycle passes when the larger difference of a
+    closed form from its sum, plus the bound, is at most ORACLE_TOL.  A
+    refused cycle fails with its refusal as the detail.
     """
     lengths, signs = zip(*batch)
     z = cycle_eigenvalues_batch(lengths, signs)
     radii, refusals = cycle_root_radii_batch(lengths, signs, z)
     energies, iotas, bounds = _cycle_sums(np.asarray(lengths), z, radii)
-    closed = np.array([(energy_cycle(n, sign), iota_energy_cycle(n, sign)) for n, sign in batch])
+    closed = orderings._cycle_table()[np.asarray(lengths), (np.asarray(signs) + 1) // 2]
     worst = np.maximum(np.abs(closed[:, 0] - energies), np.abs(closed[:, 1] - iotas))
     passed = worst + bounds <= ORACLE_TOL
     results = []

@@ -1,6 +1,11 @@
 import functools
 import hashlib
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from sidigraph import (
 )
 import sidigraph
 from sidigraph import graphs, orderings, spectra, verification
+from sidigraph.cycle_formulas import energy_cycle, iota_energy_cycle
 from sidigraph.orderings import MIXED_SIGN, SAME_SIGN
 from oracles import (
     brute_force_sign_pairs,
@@ -429,14 +435,16 @@ def test_chain_details_judge_a_sequence_the_prediction_misses():
 
 
 def test_chain_details_refuse_a_budget_below_4():
-    with pytest.raises(ValueError, match="budget must be in 4..30, got 3"):
+    with pytest.raises(ValueError, match=r"^budget must be >= 4, got 3$"):
         orderings.chain_details(ordered_sequence(30, SAME_SIGN), 3)
 
 
 @pytest.mark.parametrize("first_n", [6.0, 31, 10.5])
 def test_chain_details_refuse_a_first_budget_that_is_not_one_of_the_sequence(first_n):
-    # a float was a TypeError from a slice, and 31 an empty list
-    with pytest.raises(ValueError, match=rf"^budget must be in 4\.\.30, got {first_n}$"):
+    # a float was a TypeError from a slice, and 31 an empty list; the budget
+    # rule refuses both, with the sequence's budget as the largest
+    rule = "<= 30" if isinstance(first_n, int) else "an integer"
+    with pytest.raises(ValueError, match=rf"^budget must be {rule}, got {first_n}$"):
         orderings.chain_details(ordered_sequence(30, SAME_SIGN), first_n)
 
 
@@ -690,13 +698,18 @@ def test_budget_cap_holds_for_the_strict_descent_checks():
         (splice_gap, 22.0),
         (expected_floating_brackets, 10.0),
         (lambda n: restrict(ordered_sequence(20, SAME_SIGN), n), 10.5),
+        # these tested parity first and raised TypeError
+        (check_exact_total_chain, "22"),
+        (check_exact_total_chain, None),
+        (check_splice_inequalities, "22"),
+        (locate_floating_pair, "22"),
     ],
 )
 def test_a_budget_must_be_an_integer(query, budget):
     # a float budget was cast by numpy, truncated, or carried into the result;
     # run_verification names its own argument before any ordering is built
     name = "n_max" if query is verification.run_verification else "budget"
-    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {budget}$"):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(budget))}$"):
         query(budget)
 
 
@@ -707,6 +720,44 @@ def test_pair_values_read_one_cycle_table(monkeypatch):
     sequence = ordered_sequence(400, SAME_SIGN)
     assert calls == []
     assert sequence.values.tolist() == [pair_iota(P(*row)) for row in sequence.codes.tolist()]
+
+
+def test_cycle_table_holds_both_closed_forms_of_every_cycle():
+    table = orderings._cycle_table()
+    assert table.shape == (orderings.MAX_BUDGET + 1, 2, 2)
+    assert np.isnan(table[:2]).all() and not table.flags.writeable
+    for n in range(2, orderings.MAX_BUDGET + 1):
+        for sign in (-1, 1):
+            assert tuple(table[n, (sign + 1) // 2].tolist()) == (energy_cycle(n, sign), iota_energy_cycle(n, sign))
+
+
+def test_cycle_table_is_built_on_first_use():
+    # importing the CLI does not pay for it
+    script = "import sidigraph.cli, sidigraph.orderings as o; print(o._cycle_table.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(sidigraph.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == "0\n"
+
+
+def test_energy_of_an_even_cycle_is_an_iota_energy_bit_for_bit():
+    # E(C_n^s) = I(C_n^s) for n = 0 mod 4 and I(C_n^-s) for n = 2 mod 4
+    table = orderings._cycle_table()
+    n = np.arange(2, orderings.MAX_BUDGET + 1, 2)
+    for sign in (-1, 1):
+        mapped = np.where(n % 4 == 0, sign, -sign)
+        assert np.array_equal(table[n, (sign + 1) // 2, 0], table[n, (mapped + 1) // 2, 1])
+
+
+def test_verify_reads_cycle_values_from_the_table_and_builds_no_pair(monkeypatch):
+    verification.run_verification(100)  # builds the table
+    calls, built = [], []
+    for module in (orderings, verification):
+        for name in ("energy_cycle", "iota_energy_cycle"):
+            monkeypatch.setattr(module, name, lambda *args: calls.append(args), raising=False)
+    post_init = graphs.CyclePair.__post_init__
+    monkeypatch.setattr(graphs.CyclePair, "__post_init__", lambda pair: (built.append(pair), post_init(pair)))
+    verification.run_verification(100)
+    assert calls == [] and built == []
 
 
 def test_floating_pair_validation():
@@ -767,6 +818,12 @@ def test_floating_bracket_details_refuse_wide_groups(monkeypatch):
 def test_expected_brackets_outside_bands():
     assert expected_floating_brackets(50) is None
     assert expected_floating_brackets(8) is None
+
+
+@pytest.mark.parametrize("n", range(11, 48, 2))
+def test_no_bracket_is_claimed_at_an_odd_budget(n):
+    # the floating pair exists only at even budgets
+    assert expected_floating_brackets(n) is None
 
 
 def test_full_ordering_differs_only_by_floating_pairs():
