@@ -655,22 +655,30 @@ def expected_floating_brackets(budget_n: int) -> tuple[CyclePair, CyclePair] | N
     return None if rows is None else (_pair(*rows[0]), _pair(*rows[1]))
 
 
-def _floating_neighbours(sequence: OrderingSequence, budget_n: int) -> tuple[int, int | None, int | None]:
-    """Positions of the floating pair (C_{n-2}^-, C_2^+) of n = budget_n in a full mixed
-    sequence, and of its neighbours among the rows with total <= n, None past either end.
+def _floating_neighbours(codes: np.ndarray, budgets: list[int]) -> list[tuple[int, int | None, int | None]]:
+    """For each budget n, the position of its floating pair (C_{n-2}^-, C_2^+) in the
+    rows of a full mixed sequence, and of its neighbours among the rows with total
+    <= n, None past either end.
 
-    In a sequence of budget n these are the rows just before and after it.
+    The totals and the floating rows are found once, and the neighbours of
+    all budgets in one array pass.  In a sequence of budget n the neighbours
+    are the rows just before and after the floating pair.
     """
-    target = (2, 1, budget_n - 2, -1)
-    hits = np.flatnonzero((sequence.codes == target).all(axis=1))
-    if not len(hits):
-        raise RuntimeError(f"floating pair {pair_label(*target)} missing from the mixed family")
-    i = int(hits[0])
-    fits = np.flatnonzero(sequence.codes[:, 0] + sequence.codes[:, 2] <= budget_n)
-    at = int(np.searchsorted(fits, i))
-    above = int(fits[at - 1]) if at > 0 else None
-    below = int(fits[at + 1]) if at + 1 < len(fits) else None
-    return i, above, below
+    totals = codes[:, 0] + codes[:, 2]
+    floating = np.flatnonzero((codes[:, 0] == 2) & (codes[:, 1] == 1) & (codes[:, 3] == -1))
+    position = dict(zip(totals[floating].tolist(), floating.tolist()))
+    for n in budgets:
+        if n not in position:
+            raise RuntimeError(f"floating pair {pair_label(2, 1, n - 2, -1)} missing from the mixed family")
+    at = np.array([position[n] for n in budgets])[:, None]
+    rows = np.arange(len(totals))
+    fits = totals <= np.array(budgets)[:, None]
+    above = np.where(fits & (rows < at), rows, -1).max(axis=1).tolist()
+    below = np.where(fits & (rows > at), rows, len(rows)).min(axis=1).tolist()
+    return [
+        (i, None if a < 0 else a, None if b == len(rows) else b)
+        for i, a, b in zip(at[:, 0].tolist(), above, below)
+    ]
 
 
 def locate_floating_pair(budget_n: int) -> FloatingPairReport:
@@ -678,7 +686,7 @@ def locate_floating_pair(budget_n: int) -> FloatingPairReport:
     if isinstance(budget_n, numbers.Integral) and (budget_n % 2 != 0 or budget_n < 10):
         raise ValueError(f"floating pair needs an even budget >= 10, got {budget_n}")
     sequence = ordered_sequence(budget_n, MIXED_SIGN, exclude_floating=False)
-    i, above, below = _floating_neighbours(sequence, budget_n)
+    [(i, above, below)] = _floating_neighbours(sequence.codes, [budget_n])
     return FloatingPairReport(
         budget_n=budget_n,
         entry=sequence._entry(i),
@@ -725,8 +733,7 @@ def floating_bracket_details(n_max: int) -> dict[int, str]:
     if not _narrow_groups(sequence):
         raise RuntimeError(f"mixed ordering at budget {budgets[-1]} has a tie group wider than {sequence.tie_tol}")
     details = {}
-    for n in budgets:
-        _, *neighbours = _floating_neighbours(sequence, n)
+    for n, (_, *neighbours) in zip(budgets, _floating_neighbours(sequence.codes, budgets)):
         got = tuple(None if i is None else tuple(sequence.codes[i].tolist()) for i in neighbours)
         details[n] = _bracket_mismatch(n, got)
     return details

@@ -398,6 +398,13 @@ PINNED_OUTPUT_SHA256 = {
     ("ordering", "400", "--mixed", "--include-floating", "--format", "text"): (0, "92cbec7aacf545c0265c32630944e29e3cf9f953a635176cefe430c490302543"),
     ("ordering", "400", "--same-sign", "--format", "svg"): (0, "d80eecd6b2dc135d7df84f97dcda40edc4bad7d05576377d19c1222e098f9736"),
     ("floating-pair", "200"): (0, "c6c955313cf4824a5dbfda48b568122925a389519977399314ca3a80f3749e9a"),
+    # the cap: 125k-row families, 6-digit ranks and tie groups
+    ("ordering", "1000", "--same-sign", "--format", "csv"): (0, "249b1f8f12a0c9ebd2ff7aa0487978c22073b1bfa2e741a23c4f0b0e2f0470aa"),
+    ("ordering", "1000", "--same-sign", "--format", "text"): (0, "c4faa014e7f1fc6651e692f20a1fca16b45407ba1668baf3f38ce31935dc7a69"),
+    ("ordering", "1000", "--same-sign", "--format", "svg"): (0, "a827852156909a43ec4fb5aef245425579fbedcf23fcc861a6beb84dcb48f05f"),
+    ("ordering", "1000", "--mixed", "--include-floating", "--format", "csv"): (0, "9fe1a5f5aeddce492a54f313c682f465622363b4c5aa743ff90294c1fe9066b8"),
+    ("ordering", "1000", "--mixed", "--include-floating", "--format", "text"): (0, "b33386e10257e3db30220b418f1ca608762bd1a516e255ee5bd93435f060bd5e"),
+    ("ordering", "1000", "--mixed", "--include-floating", "--format", "svg"): (0, "a511a414450f1b82e1acbb8a57c4cf7da73c6500b98311c01743770f806687ea"),
 }
 
 
