@@ -273,11 +273,15 @@ def parse_edge_list(text: str) -> SignedDigraph:
     ``tail head sign`` with sign +1 or -1.  The vertex count, tail and head
     are written in ASCII decimal digits only, and the count is at most
     MAX_VERTICES.  Blank lines and lines starting with ``#`` are ignored.
+    Lines end at LF, CR LF or CR only, as ``read_text`` and editors count
+    them; the other characters that ``str.splitlines`` breaks at, such as
+    U+2028 or a form feed, are whitespace inside a line.
     """
     n_vertices: int | None = None
     arcs: list[Arc] = []
     seen: set[tuple[int, int]] = set()
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

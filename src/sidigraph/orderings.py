@@ -436,31 +436,21 @@ def _narrow_groups(sequence: OrderingSequence) -> bool:
     return bool(np.all(highest - lowest <= sequence.tie_tol))
 
 
-def _failing_budgets(sequence: OrderingSequence, codes: np.ndarray, tied: np.ndarray) -> np.ndarray:
+def _failing_budgets(sequence: OrderingSequence, tied: np.ndarray) -> np.ndarray:
     """Whether the chain check fails at each budget 0..sequence.budget_n, from the n_max table alone.
 
-    Valid when each tie group spans at most the sequence's tie_tol, as
-    chain_details makes sure (see _narrow_groups): the budget-n ordering is
-    the sequence masked, as the fitted prediction is the prediction masked.
-    Masked rows that are equal at n are equal below n, so they are equal
-    up to a limit found by binary search.  Up to it, each row's numeric tie
-    flag turns on at the smallest total of an earlier row of its group, and
-    its predicted flag, if set, at the total of the prediction's row before
-    it; a budget fails where the two differ.
+    Valid when each tie group spans at most the sequence's tie_tol (see
+    _narrow_groups) and the sequence's rows are the prediction's, as
+    chain_details makes sure: then the budget-n ordering is the sequence
+    masked to total <= n and the fitted prediction is the prediction masked
+    alike, and equal tables masked alike stay equal, so at no budget can a
+    row differ, only a tie flag.  A row's numeric flag turns on at the
+    smallest total of an earlier row of its group, its predicted flag, if
+    set, at the total of the row before it; a budget fails where a row it
+    holds has the two differ.
     """
     n_max = sequence.budget_n
     totals = sequence.codes[:, 0] + sequence.codes[:, 2]
-    predicted_totals = codes[:, 0] + codes[:, 2]
-
-    def rows_equal(n: int) -> bool:
-        return np.array_equal(sequence.codes[totals <= n], codes[predicted_totals <= n])
-
-    lo, hi = 0, n_max + 1  # rows_equal(lo) holds, rows_equal(hi) is taken to fail
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if rows_equal(mid) else (lo, mid)
-    limit = lo
-
     # the smallest total of an earlier row of the same group, never if none:
     # offsetting each group below the one before makes a running minimum
     # restart at every group
@@ -470,20 +460,15 @@ def _failing_budgets(sequence: OrderingSequence, codes: np.ndarray, tied: np.nda
     numeric_on = np.full(len(totals), never)
     same_group = sequence.tie_groups[1:] == sequence.tie_groups[:-1]
     numeric_on[1:][same_group] = earliest[:-1][same_group]
-    predicted_on = np.full(len(codes), never)
-    predicted_on[1:][tied[1:]] = predicted_totals[:-1][tied[1:]]
+    predicted_on = np.full(len(totals), never)
+    predicted_on[1:][tied[1:]] = totals[:-1][tied[1:]]
 
-    # up to the limit the i-th row with total <= limit is the same in both;
     # from the row's own total on, its flags differ between the two steps
-    here, there = np.flatnonzero(totals <= limit), np.flatnonzero(predicted_totals <= limit)
-    numeric, predicted = numeric_on[here], predicted_on[there]
-    start = np.maximum(totals[here], np.minimum(numeric, predicted))
-    stop = np.maximum(numeric, predicted)
+    start = np.maximum(totals, np.minimum(numeric_on, predicted_on))
+    stop = np.maximum(numeric_on, predicted_on)
     some = start < stop
     mismatches = np.bincount(start[some], minlength=n_max + 2) - np.bincount(stop[some], minlength=n_max + 2)
-    fails = np.cumsum(mismatches)[: n_max + 1] > 0
-    fails[limit + 1 :] = True
-    return fails
+    return np.cumsum(mismatches)[: n_max + 1] > 0
 
 
 def chain_details(sequence: OrderingSequence, first_n: int) -> list[str]:
@@ -491,10 +476,11 @@ def chain_details(sequence: OrderingSequence, first_n: int) -> list[str]:
 
     Builds the class's prediction once; a mixed sequence must be
     floating-free.  Details are "" on a pass.  When every tie group spans
-    at most the sequence's tie_tol, the verdicts of all budgets come from
-    the n_max table in O(rows) passes, see _failing_budgets, and only the
-    failing budgets are candidates; otherwise, as for a chain of small
-    steps grouped at tie_tol 3.0, every budget is.  Each candidate is
+    at most the sequence's tie_tol and the sequence's rows equal the
+    prediction's, the verdicts of all budgets come from the n_max table in
+    O(rows) passes, see _failing_budgets, and only the failing budgets are
+    candidates; otherwise, as for a chain of small steps grouped at tie_tol
+    3.0 or rows the prediction misses, every budget is.  Each candidate is
     judged by restrict, _fit and _compare_chain, so its detail is the text
     a check of ordered_sequence at that budget and tolerance gives.
     """
@@ -502,8 +488,8 @@ def chain_details(sequence: OrderingSequence, first_n: int) -> list[str]:
     pattern = _same_sign_pattern if sequence.sign_class == SAME_SIGN else _mixed_pattern
     codes, tied = pattern(sequence.budget_n)
     budgets = np.arange(first_n, sequence.budget_n + 1)
-    if _narrow_groups(sequence):
-        budgets = budgets[_failing_budgets(sequence, codes, tied)[first_n:]]
+    if _narrow_groups(sequence) and np.array_equal(sequence.codes, codes):
+        budgets = budgets[_failing_budgets(sequence, tied)[first_n:]]
     details = [""] * (sequence.budget_n + 1 - first_n)
     for n in budgets.tolist():
         details[n - first_n] = _compare_chain(restrict(sequence, n), *_fit(codes, tied, n))
@@ -665,7 +651,7 @@ def _floating_neighbours(codes: np.ndarray, budgets: list[int]) -> list[tuple[in
     are the rows just before and after the floating pair.
     """
     totals = codes[:, 0] + codes[:, 2]
-    floating = np.flatnonzero((codes[:, 0] == 2) & (codes[:, 1] == 1) & (codes[:, 3] == -1))
+    floating = np.flatnonzero(_is_floating(codes))
     position = dict(zip(totals[floating].tolist(), floating.tolist()))
     for n in budgets:
         if n not in position:

@@ -304,6 +304,20 @@ def test_edge_list_parsing_and_errors():
         parse_edge_list("# only comments\n")
 
 
+def test_edge_list_lines_end_only_at_newlines():
+    # str.splitlines also breaks at U+2028, a form feed and more; the format,
+    # like read_text and editors, does not, so they are whitespace in a line
+    with pytest.raises(EdgeListParseError, match="^line 2: expected 'tail head sign'$"):
+        parse_edge_list("n 3\n0 1 +1\u20282 0 +1\n1 1 +1\n")
+    with pytest.raises(EdgeListParseError, match="^line 4: self-loop at vertex 1 not allowed$"):
+        parse_edge_list("n 3\n0 1 +1\n\x0c\n1 1 +1\n")
+    with pytest.raises(EdgeListParseError, match="^line 3: self-loop at vertex 1 not allowed$"):
+        parse_edge_list("n 3\r0 1 +1\r\n1 1 +1\r")
+    cycle = make_cycle(2, -1)
+    for newline in ("\r", "\r\n"):
+        assert parse_edge_list(format_edge_list(cycle).replace("\n", newline)) == cycle
+
+
 @pytest.mark.parametrize("count", ["1_2", "+3", "-0", "-3", "\uff13", "\u0663", "3.0", "0x3"])
 def test_edge_list_vertex_count_is_ascii_decimal(count):
     # int() takes '1_2', '+3', '-0' and non-ASCII digits; the format does not

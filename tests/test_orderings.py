@@ -456,7 +456,31 @@ def test_verify_runs_each_chain_from_its_first_budget():
     assert [name for name in names if name.startswith("mixed chain")][0] == "mixed chain n=6"
 
 
-def test_verify_restricts_no_budget_at_the_default_tolerance(monkeypatch):
+def test_chain_details_judge_tables_that_differ_only_at_the_top_total(monkeypatch):
+    # groups are narrow, but the prediction swaps two rows of total n_max, so
+    # the n_max tables differ while every smaller budget masks them equal
+    pattern = orderings._same_sign_pattern
+
+    def swapped(budget_n):
+        codes, tied = pattern(budget_n)
+        codes = codes.copy()
+        codes[[0, 1]] = codes[[1, 0]]
+        return codes, tied
+
+    monkeypatch.setattr(orderings, "_same_sign_pattern", swapped)
+    sequence = ordered_sequence(60, SAME_SIGN)
+    codes, _ = swapped(60)
+    assert (codes[:2, 0] + codes[:2, 2]).tolist() == [60, 60]
+    assert orderings._narrow_groups(sequence)
+    details = orderings.chain_details(sequence, 22)
+    assert details == reference_chain_details(sequence, 22)
+    assert details[:-1] == [""] * 38
+    assert details[-1] == "position 1: expected (C4-,C56-), ordering has (C2-,C58-)"
+
+
+def test_chain_details_restrict_no_budget_from_4_where_the_prediction_holds(monkeypatch):
+    # the predicted ties of the written-out tail switch on only with their
+    # previous rows, at budgets below the first one verify judges
     restricted = []
 
     def recorded(sequence, budget_n):
@@ -464,9 +488,23 @@ def test_verify_restricts_no_budget_at_the_default_tolerance(monkeypatch):
         return restrict(sequence, budget_n)
 
     monkeypatch.setattr(orderings, "restrict", recorded)
-    results = verification.run_verification(100)
+    for sequence in (ordered_sequence(60, SAME_SIGN), ordered_sequence(60, MIXED_SIGN, exclude_floating=True)):
+        assert orderings.chain_details(sequence, 4) == [""] * 57
     assert restricted == []
-    assert sum(r.name.startswith(("same-sign chain", "mixed chain")) for r in results) == 79 + 95
+
+
+@pytest.mark.parametrize("n_max", [100, 1000])
+def test_verify_restricts_no_budget_at_the_default_tolerance(monkeypatch, n_max):
+    restricted = []
+
+    def recorded(sequence, budget_n):
+        restricted.append(budget_n)
+        return restrict(sequence, budget_n)
+
+    monkeypatch.setattr(orderings, "restrict", recorded)
+    results = verification.run_verification(n_max)
+    assert restricted == []
+    assert sum(r.name.startswith(("same-sign chain", "mixed chain")) for r in results) == (n_max - 21) + (n_max - 5)
 
 
 @pytest.mark.parametrize("n_max", [4, 5, 9, 10, 21, 22])
