@@ -96,7 +96,7 @@ def _cmd_floating_pair(args: argparse.Namespace) -> int:
         print(f"above {report.above.pair} {report.above.value:.6f}")
     if report.below is not None:
         print(f"below {report.below.pair} {report.below.value:.6f}")
-    mismatch = orderings.floating_bracket_mismatch(report)
+    mismatch = report.mismatch
     if mismatch is None:
         print("bracket rule: not stated for this n")
         return EXIT_OK

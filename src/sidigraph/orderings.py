@@ -18,6 +18,7 @@ predicted chains and the reports of `extremal_pairs` and
 Three facts every claim rests on are stated here once: the budget rule
 (`_check_budget`), both closed forms of each signed cycle by length
 (`_cycle_table`) and the paper's floating-pair brackets (`_FLOATING_BRACKETS`).
+Every check of many budgets (the `*_details` functions) returns {budget: detail}.
 """
 from __future__ import annotations
 
@@ -110,12 +111,14 @@ class OrderingSequence:
 
 @dataclass(frozen=True)
 class FloatingPairReport:
-    """Position of the (C_{n-2}^-, C_2^+) pair inside the full mixed ordering."""
+    """Position of the (C_{n-2}^-, C_2^+) pair inside the full mixed ordering, and
+    mismatch, the verdict on its tabulated bracket (see _bracket_mismatch)."""
 
     budget_n: int
     entry: OrderingEntry
     above: OrderingEntry | None
     below: OrderingEntry | None
+    mismatch: str | None
 
 
 def _check_sign_class(sign_class: str) -> None:
@@ -471,28 +474,29 @@ def _failing_budgets(sequence: OrderingSequence, tied: np.ndarray) -> np.ndarray
     return np.cumsum(mismatches)[: n_max + 1] > 0
 
 
-def chain_details(sequence: OrderingSequence, first_n: int) -> list[str]:
-    """The chain check of the sequence restricted to each budget first_n..sequence.budget_n.
+def chain_details(sequence: OrderingSequence, first_n: int) -> dict[int, str]:
+    """The chain check of the sequence restricted to each budget first_n..sequence.budget_n, by budget.
 
-    Builds the class's prediction once; a mixed sequence must be
-    floating-free.  Details are "" on a pass.  When every tie group spans
-    at most the sequence's tie_tol and the sequence's rows equal the
-    prediction's, the verdicts of all budgets come from the n_max table in
-    O(rows) passes, see _failing_budgets, and only the failing budgets are
-    candidates; otherwise, as for a chain of small steps grouped at tie_tol
-    3.0 or rows the prediction misses, every budget is.  Each candidate is
-    judged by restrict, _fit and _compare_chain, so its detail is the text
-    a check of ordered_sequence at that budget and tolerance gives.
+    first_n is a budget; above the sequence's the result is {}.  Builds the
+    class's prediction once; a mixed sequence must be floating-free.
+    Details are "" on a pass.  When every tie group spans at most the
+    sequence's tie_tol and the sequence's rows equal the prediction's, the
+    verdicts of all budgets come from the n_max table in O(rows) passes, see
+    _failing_budgets, and only the failing budgets are candidates;
+    otherwise, as for a chain of small steps grouped at tie_tol 3.0 or rows
+    the prediction misses, every budget is.  Each candidate is judged by
+    restrict, _fit and _compare_chain, so its detail is the text a check of
+    ordered_sequence at that budget and tolerance gives.
     """
-    _check_budget(first_n, most=sequence.budget_n)
+    _check_budget(first_n)
     pattern = _same_sign_pattern if sequence.sign_class == SAME_SIGN else _mixed_pattern
     codes, tied = pattern(sequence.budget_n)
     budgets = np.arange(first_n, sequence.budget_n + 1)
     if _narrow_groups(sequence) and np.array_equal(sequence.codes, codes):
         budgets = budgets[_failing_budgets(sequence, tied)[first_n:]]
-    details = [""] * (sequence.budget_n + 1 - first_n)
+    details = dict.fromkeys(range(first_n, sequence.budget_n + 1), "")
     for n in budgets.tolist():
-        details[n - first_n] = _compare_chain(restrict(sequence, n), *_fit(codes, tied, n))
+        details[n] = _compare_chain(restrict(sequence, n), *_fit(codes, tied, n))
     return details
 
 
@@ -561,9 +565,9 @@ def splice_gap(n: int) -> float:
     and B of `trig`.  n is a budget, so at most MAX_BUDGET.  Read off
     _cycle_table by _splice_gaps, as splice_details reads every gap.
     """
-    _check_budget(n)
-    if n < 22 or n % 2 != 0:
+    if isinstance(n, numbers.Integral) and (n < 22 or n % 2 != 0):
         raise ValueError(f"splice gap is defined for even n >= 22, got {n}")
+    _check_budget(n)
     return float(_splice_gaps(n))
 
 
@@ -678,33 +682,25 @@ def locate_floating_pair(budget_n: int) -> FloatingPairReport:
         entry=sequence._entry(i),
         above=None if above is None else sequence._entry(above),
         below=None if below is None else sequence._entry(below),
+        mismatch=_bracket_mismatch(sequence.codes, budget_n, above, below),
     )
 
 
-def _bracket_mismatch(budget_n: int, got: tuple[tuple[int, ...] | None, ...]) -> str | None:
-    """How got, the code rows above and below the floating pair of budget_n (None past an
-    end), miss its bracket in _FLOATING_BRACKETS: None where it has none, "" on a match."""
+def _bracket_mismatch(codes: np.ndarray, budget_n: int, above: int | None, below: int | None) -> str | None:
+    """How codes[above] and codes[below], the rows next to the floating pair of budget_n (None past
+    an end), miss its bracket in _FLOATING_BRACKETS: None where it has none, "" on a match."""
     expected = _FLOATING_BRACKETS.get(budget_n)
     if expected is None:
         return None
+    got = tuple(None if i is None else tuple(codes[i].tolist()) for i in (above, below))
     if got == expected:
         return ""
-    above, below, got_above, got_below = (None if row is None else pair_label(*row) for row in expected + got)
-    return f"expected between {above} and {below}, got {got_above} and {got_below}"
-
-
-def floating_bracket_mismatch(report: FloatingPairReport) -> str | None:
-    """How the located floating pair misses its tabulated bracket.
-
-    None where no bracket is stated for the budget, "" on a match.
-    """
-    pairs = [None if e is None else e.pair for e in (report.above, report.below)]
-    got = tuple(None if p is None else (p.c1.length, p.c1.sign, p.c2.length, p.c2.sign) for p in pairs)
-    return _bracket_mismatch(report.budget_n, got)
+    labels = (None if row is None else pair_label(*row) for row in expected + got)
+    return "expected between {} and {}, got {} and {}".format(*labels)
 
 
 def floating_bracket_details(n_max: int) -> dict[int, str]:
-    """floating_bracket_mismatch(locate_floating_pair(n)) of each n <= n_max in _FLOATING_BRACKETS, by n.
+    """locate_floating_pair(n).mismatch of each n <= n_max in _FLOATING_BRACKETS, by n.
 
     All budgets read one full mixed ordering, at the largest of them, whose
     tie groups must be narrow (see _narrow_groups): then the budget-n
@@ -718,11 +714,10 @@ def floating_bracket_details(n_max: int) -> dict[int, str]:
     sequence = ordered_sequence(budgets[-1], MIXED_SIGN)
     if not _narrow_groups(sequence):
         raise RuntimeError(f"mixed ordering at budget {budgets[-1]} has a tie group wider than {sequence.tie_tol}")
-    details = {}
-    for n, (_, *neighbours) in zip(budgets, _floating_neighbours(sequence.codes, budgets)):
-        got = tuple(None if i is None else tuple(sequence.codes[i].tolist()) for i in neighbours)
-        details[n] = _bracket_mismatch(n, got)
-    return details
+    return {
+        n: _bracket_mismatch(sequence.codes, n, above, below)
+        for n, (_, above, below) in zip(budgets, _floating_neighbours(sequence.codes, budgets))
+    }
 
 
 def _extremes(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -782,14 +777,14 @@ def extremal_pairs(budget_n: int) -> tuple[OrderingEntry, OrderingEntry]:
     return maximum, minimum
 
 
-def extremal_details(n_max: int) -> list[str]:
-    """For each budget 4..n_max, "" where extremal_pairs passes, else what it raises.
+def extremal_details(n_max: int) -> dict[int, str]:
+    """For each budget 4..n_max, by budget, "" where extremal_pairs passes, else what it raises.
 
     Every budget is judged on its own extremes, all read off one sort of
     the n_max union.
     """
     codes, _, first, last = _extremes(n_max)
-    return [_extremal_detail(codes[first[n]], codes[last[n]], n) for n in range(4, n_max + 1)]
+    return {n: _extremal_detail(codes[first[n]], codes[last[n]], n) for n in range(4, n_max + 1)}
 
 
 __all__ = [
@@ -815,7 +810,6 @@ __all__ = [
     "splice_gap",
     "expected_floating_brackets",
     "locate_floating_pair",
-    "floating_bracket_mismatch",
     "floating_bracket_details",
     "extremal_pairs",
     "extremal_details",

@@ -12,9 +12,9 @@ collected, not raised.
 The chain checks, the exact-total chains, the block splices, the
 floating-pair brackets and the extremal checks each judge all their
 budgets from one table (`orderings.chain_details`, `exact_total_details`,
-`splice_details`, `floating_bracket_details`, `extremal_details`); the
-cycle checks build the roots of a batch of cycles with one call and prove
-them with another.
+`splice_details`, `floating_bracket_details`, `extremal_details`), by
+budget; the cycle checks build the roots of a batch of cycles with one
+call and prove them with another.
 """
 from __future__ import annotations
 
@@ -48,31 +48,30 @@ class CheckResult:
 def run_verification(n_max: int, tie_tol: float = orderings.TIE_TOL) -> list[CheckResult]:
     """Every applicable check for budgets up to n_max, in a fixed order."""
     orderings._check_budget(n_max, name="n_max")
-    results: list[CheckResult] = []
-
     # Each budget's ordering and prediction are the n_max ones cut to the pairs that fit.
     same_sign = orderings.ordered_sequence(n_max, orderings.SAME_SIGN, tie_tol=tie_tol)
     mixed = orderings.ordered_sequence(n_max, orderings.MIXED_SIGN, exclude_floating=True, tie_tol=tie_tol)
     # each chain is stated from its first budget on
-    for label, sequence, first_n in (("same-sign", same_sign, 22), ("mixed", mixed, 6)):
-        if n_max >= first_n:
-            for n, detail in enumerate(orderings.chain_details(sequence, first_n), start=first_n):
-                results.append(CheckResult(f"{label} chain n={n}", detail))
-    for n, detail in orderings.exact_total_details(n_max).items():
-        results.append(CheckResult(f"exact-total chain n={n}", detail))
-    for n, detail in orderings.splice_details(n_max).items():
-        results.append(CheckResult(f"block splice n={n}", detail))
-    for n, detail in orderings.floating_bracket_details(n_max).items():
-        results.append(CheckResult(f"floating-pair bracket n={n}", detail))
+    results = _by_budget(
+        ("same-sign chain", orderings.chain_details(same_sign, 22)),
+        ("mixed chain", orderings.chain_details(mixed, 6)),
+        ("exact-total chain", orderings.exact_total_details(n_max)),
+        ("block splice", orderings.splice_details(n_max)),
+        ("floating-pair bracket", orderings.floating_bracket_details(n_max)),
+    )
     for n in range(6, n_max + 1, 2):
         for function_id, interval, direction in trig.monotonicity_claims(n):
             name = f"monotone {function_id} [{interval[0]:g},{interval[1]:g}] n={n}"
             results.append(CheckResult(name, trig._verdict(function_id, n, *interval, direction)))
     for batch in _cycle_batches(n_max):
         results.extend(_cycle_checks(batch))
-    for n, detail in enumerate(orderings.extremal_details(n_max), start=4):
-        results.append(CheckResult(f"extremal pairs n={n}", detail))
+    results += _by_budget(("extremal pairs", orderings.extremal_details(n_max)))
     return results
+
+
+def _by_budget(*checks: tuple[str, dict[int, str]]) -> list[CheckResult]:
+    """One CheckResult "{label} n={n}" per budget n of each (label, {n: detail}) in turn."""
+    return [CheckResult(f"{label} n={n}", detail) for label, details in checks for n, detail in details.items()]
 
 
 def _cycle_batches(n_max: int):

@@ -333,7 +333,7 @@ def reference_exact_total_verdict(n: int, tie_tol: float = 1e-9) -> str:
     return "" if numeric == chain else "chain disagrees with numeric sort"
 
 
-def reference_chain_details(sequence, first_n: int) -> list[str]:
+def reference_chain_details(sequence, first_n: int) -> dict[int, str]:
     """orderings.chain_details by the per-budget sweep it replaced.
 
     Every budget's ordering is restricted from the sequence, sorted and
@@ -344,10 +344,10 @@ def reference_chain_details(sequence, first_n: int) -> list[str]:
 
     pattern = orderings._same_sign_pattern if sequence.sign_class == orderings.SAME_SIGN else orderings._mixed_pattern
     codes, tied = pattern(sequence.budget_n)
-    return [
-        orderings._compare_chain(orderings.restrict(sequence, n), *orderings._fit(codes, tied, n))
+    return {
+        n: orderings._compare_chain(orderings.restrict(sequence, n), *orderings._fit(codes, tied, n))
         for n in range(first_n, sequence.budget_n + 1)
-    ]
+    }
 
 
 def reference_same_sign_pattern(budget_n: int):
@@ -631,8 +631,8 @@ def reference_splice_inequalities(n: int) -> str:
 
 
 def reference_floating_mismatch(n: int) -> str | None:
-    """floating_bracket_mismatch at budget n, the floating pair located in the
-    full mixed ordering of budget n."""
+    """locate_floating_pair(n).mismatch, the floating pair located in the
+    entries of the full mixed ordering of budget n."""
     from sidigraph import orderings
 
     expected = orderings.expected_floating_brackets(n)

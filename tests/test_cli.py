@@ -232,6 +232,23 @@ def test_floating_pair_beyond_table(capsys):
     assert "not stated" in out
 
 
+def test_floating_pair_and_verify_give_one_bracket_verdict(capsys):
+    # each tabulated n: "match" with exit 0 where verify says ok, "MISMATCH"
+    # with exit 1 where it says FAIL, which is n = 48 alone
+    _, out, _ = run_cli(capsys, "verify", "--n-max", "48")
+    verdicts = {
+        int(line.split("n=")[1].split(":")[0]): line.startswith("ok ")
+        for line in out.splitlines()
+        if line.startswith(("ok   floating-pair bracket n=", "FAIL floating-pair bracket n="))
+    }
+    assert sorted(verdicts) == list(range(10, 49, 2))
+    assert [n for n, ok in verdicts.items() if not ok] == [48]
+    for n, ok in verdicts.items():
+        code, out, _ = run_cli(capsys, "floating-pair", str(n))
+        assert out.splitlines()[-1] == f"bracket rule: {'match' if ok else 'MISMATCH'}", n
+        assert code == (0 if ok else 1), n
+
+
 # --- verify ------------------------------------------------------------------
 
 def test_verify_small_budget_passes(capsys):
@@ -372,6 +389,12 @@ def test_verify_refuses_unsupported_arguments_before_any_check(capsys, argv, mes
 # digest only together with a deliberate change of the output.
 PINNED_OUTPUT_SHA256 = {
     ("verify", "--n-max", "46"): (0, "8dd045c4368ae93c3cc45aa8957f3e6d558a0fe85e11590f16104b187c32f0ce"),
+    # the chains start at 22 (same-sign) and 6 (mixed): at 4 and 5 neither
+    # runs, at 21 only the mixed one, at 22 both
+    ("verify", "--n-max", "4"): (0, "75213b2438a5753ab0252455e352392339749e5accae5cc366380b9dd162b2b0"),
+    ("verify", "--n-max", "5"): (0, "537f821b1c543441e1b9dfb3714ab9700ddea98658a510bd72ea5bf723b576af"),
+    ("verify", "--n-max", "21"): (0, "5141305a605a29c0e1a13367c8e3e13d9b8e2bc76514f880c6f5cc927fd88543"),
+    ("verify", "--n-max", "22"): (0, "18f1df484ff3a86e88218b5d4d930aae6c65a84f1b163840b40ce0d6ba5e87c4"),
     ("ordering", "27", "--same-sign", "--format", "csv"): (0, "4982bc290cd64dd4289a925f8f74e315c23a4617a9d083c1405e1840c2dc3a80"),
     ("ordering", "27", "--same-sign", "--format", "svg"): (0, "727f666fe9843fed0cc610e7ad306cb9c0c665afbfb6f7269d9691763a46da9c"),
     ("ordering", "27", "--mixed", "--format", "csv"): (0, "32d0043920bbf64e2949b7d53ecacd11da3a794d217e6cec5d5d3d88f4166f63"),

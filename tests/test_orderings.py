@@ -396,13 +396,13 @@ def test_same_sign_pattern_equals_the_row_builder():
 def test_chain_details_match_single_budget_checks(tie_tol):
     same_sign = ordered_sequence(40, SAME_SIGN, tie_tol=tie_tol)
     mixed = ordered_sequence(40, MIXED_SIGN, exclude_floating=True, tie_tol=tie_tol)
-    assert orderings.chain_details(same_sign, 4) == [
-        check_same_sign_chain(ordered_sequence(n, SAME_SIGN, tie_tol=tie_tol)) for n in range(4, 41)
-    ]
-    assert orderings.chain_details(mixed, 4) == [
-        check_mixed_chain(ordered_sequence(n, MIXED_SIGN, exclude_floating=True, tie_tol=tie_tol))
+    assert orderings.chain_details(same_sign, 4) == {
+        n: check_same_sign_chain(ordered_sequence(n, SAME_SIGN, tie_tol=tie_tol)) for n in range(4, 41)
+    }
+    assert orderings.chain_details(mixed, 4) == {
+        n: check_mixed_chain(ordered_sequence(n, MIXED_SIGN, exclude_floating=True, tie_tol=tie_tol))
         for n in range(4, 41)
-    ]
+    }
 
 
 @pytest.mark.parametrize("tie_tol", [1e-9, 0.0, 1e-6, 3.0])
@@ -422,7 +422,7 @@ def test_chain_details_equal_the_per_budget_sweep(n_max, first_n, tie_tol):
 def test_chain_details_judge_with_the_tolerance_of_the_sequence():
     # grouped and judged at 3.0, every budget from 22 fails
     details = orderings.chain_details(ordered_sequence(40, SAME_SIGN, tie_tol=3.0), 22)
-    assert len(details) == 19 and all(details)
+    assert list(details) == list(range(22, 41)) and all(details.values())
 
 
 def test_chain_details_judge_a_sequence_the_prediction_misses():
@@ -431,7 +431,7 @@ def test_chain_details_judge_a_sequence_the_prediction_misses():
     sequence = ordered_sequence(40, MIXED_SIGN)
     details = orderings.chain_details(sequence, 4)
     assert details == reference_chain_details(sequence, 4)
-    assert [bool(d) for d in details] == [False, False] + [True] * 35
+    assert {n: bool(d) for n, d in details.items()} == {n: n >= 6 for n in range(4, 41)}
 
 
 def test_chain_details_refuse_a_budget_below_4():
@@ -439,13 +439,18 @@ def test_chain_details_refuse_a_budget_below_4():
         orderings.chain_details(ordered_sequence(30, SAME_SIGN), 3)
 
 
-@pytest.mark.parametrize("first_n", [6.0, 31, 10.5])
+@pytest.mark.parametrize("first_n", [6.0, 1001, 10.5])
 def test_chain_details_refuse_a_first_budget_that_is_not_one_of_the_sequence(first_n):
-    # a float was a TypeError from a slice, and 31 an empty list; the budget
-    # rule refuses both, with the sequence's budget as the largest
-    rule = "<= 30" if isinstance(first_n, int) else "an integer"
+    # a float was a TypeError from a slice; the budget rule refuses it, and a
+    # budget above the cap, as every entry point does
+    rule = "<= 1000" if isinstance(first_n, int) else "an integer"
     with pytest.raises(ValueError, match=rf"^budget must be {rule}, got {first_n}$"):
         orderings.chain_details(ordered_sequence(30, SAME_SIGN), first_n)
+
+
+def test_chain_details_judge_no_budget_above_the_sequence():
+    # details are keyed by budget, so an empty result says no budget lies in 31..30
+    assert orderings.chain_details(ordered_sequence(30, SAME_SIGN), 31) == {}
 
 
 def test_verify_runs_each_chain_from_its_first_budget():
@@ -474,8 +479,10 @@ def test_chain_details_judge_tables_that_differ_only_at_the_top_total(monkeypatc
     assert orderings._narrow_groups(sequence)
     details = orderings.chain_details(sequence, 22)
     assert details == reference_chain_details(sequence, 22)
-    assert details[:-1] == [""] * 38
-    assert details[-1] == "position 1: expected (C4-,C56-), ordering has (C2-,C58-)"
+    assert details == {
+        **dict.fromkeys(range(22, 60), ""),
+        60: "position 1: expected (C4-,C56-), ordering has (C2-,C58-)",
+    }
 
 
 def test_chain_details_restrict_no_budget_from_4_where_the_prediction_holds(monkeypatch):
@@ -489,7 +496,7 @@ def test_chain_details_restrict_no_budget_from_4_where_the_prediction_holds(monk
 
     monkeypatch.setattr(orderings, "restrict", recorded)
     for sequence in (ordered_sequence(60, SAME_SIGN), ordered_sequence(60, MIXED_SIGN, exclude_floating=True)):
-        assert orderings.chain_details(sequence, 4) == [""] * 57
+        assert orderings.chain_details(sequence, 4) == dict.fromkeys(range(4, 61), "")
     assert restricted == []
 
 
@@ -659,6 +666,22 @@ def test_chain_check_failure_texts():
         == "position 2: expected strict drop before (C2-,C2+)"
     )
     assert check_exact_total_chain(8) == ""
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (3, "splice gap is defined for even n >= 22, got 3"),
+        (1001, "splice gap is defined for even n >= 22, got 1001"),
+        (1002, "budget must be <= 1000, got 1002"),
+        (22.0, "budget must be an integer, got 22.0"),
+    ],
+)
+def test_splice_gap_checks_its_domain_before_the_budget_cap(n, message):
+    # as check_splice_inequalities does: an integer outside even n >= 22 is
+    # named by the gap's own domain, whatever the cap says
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        splice_gap(n)
 
 
 def test_splice_gap_value():
@@ -837,7 +860,18 @@ def test_floating_bracket_details_equal_the_one_budget_reference(floating_mismat
         assert orderings.floating_bracket_details(n_max) == expected, n_max
     assert restricted == []
     assert len(expected) == 20 and list(expected.values()).count("") == 19
-    assert {n: orderings.floating_bracket_mismatch(locate_floating_pair(n)) for n in expected} == expected
+    assert {n: locate_floating_pair(n).mismatch for n in expected} == expected
+
+
+@pytest.mark.parametrize("n", list(range(10, 51, 2)) + [200, 1000])
+def test_floating_pair_and_verify_give_one_bracket_verdict(n):
+    # floating-pair reads the verdict off one budget's ordering, verify off
+    # the ordering of the largest tabulated budget: both agree with the
+    # reference and with each other
+    mismatch = locate_floating_pair(n).mismatch
+    assert mismatch == reference_floating_mismatch(n)
+    if n <= 48:
+        assert mismatch == orderings.floating_bracket_details(48)[n]
 
 
 def test_floating_bracket_details_refuse_wide_groups(monkeypatch):
