@@ -136,14 +136,17 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     # real root through cmath.phase.  Adding 0.0 turns -0.0 into 0.0.
     shown = [complex(round(z.real, 6) + 0.0, round(z.imag, 6) + 0.0) for z in spectrum]
     ordered = sorted(shown, key=lambda z: (cmath.phase(z), abs(z)))
-    print(f"vertices: {graph.n_vertices}")
-    print(f"arcs: {graph.n_arcs}")
-    print(_format_component_summary(components))
-    print("eigenvalues:")
-    for z in ordered:
-        print(f"  {z.real:+.6f} {z.imag:+.6f}i")
-    print(f"energy: {energy(spectrum):.6f}")
-    print(f"iota energy: {iota_energy(spectrum):.6f}")
+    lines = [
+        f"vertices: {graph.n_vertices}",
+        f"arcs: {graph.n_arcs}",
+        _format_component_summary(components),
+        "eigenvalues:",
+        *(f"  {z.real:+.6f} {z.imag:+.6f}i" for z in ordered),
+        f"energy: {energy(spectrum):.6f}",
+        f"iota energy: {iota_energy(spectrum):.6f}",
+    ]
+    # one write, as _cmd_verify does, instead of a print per eigenvalue
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -8,11 +8,13 @@ its sign, and any other component goes through the numeric pipeline,
 adjacency matrix -> monic characteristic polynomial (trace recursion,
 certified exact for an integer matrix in two tiers: float32 steps while
 every value stays within 2^24, then float64 steps while it stays within
-2^53) ->
+2^53; the matrix is scanned for its largest entry only at the steps where
+a running integer bound on it could change a verdict) ->
 exact deflation of the roots at zero, one per low coefficient that is
 exactly 0 -> simultaneous root iteration (Aberth-Ehrlich, started on the
-circles of the Newton polygon, each step on the approximations not yet
-converged), with every polynomial value read from one power table
+circles of the Newton polygon, all start points built by one array exp,
+each step on the approximations not yet converged), with every
+polynomial value read from one power table
 [1, z, ..., z^degree] of all the points it needs and the sums of
 1/(z_i - z_j) from one matrix of differences.
 Each stage refuses what it cannot vouch for with a RootFindingError: a
@@ -113,10 +115,10 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     integer, and doubles hold it exactly while every partial sum stays
     within 2^53.  With r the largest absolute row sum of A, each step
     checks both bounds: r * max|M_{k-1}| for every partial sum of
-    A M_{k-1}, and sum_i |(A M_{k-1})_ii| for the trace.  If either passes 2^53 the coefficients may be rounded, and a
-    RootFindingError with empty diagnostics is raised instead.  Cycles and
-    sparse components stay far inside the bound; dense ones of a few dozen
-    vertices pass it.
+    A M_{k-1}, and sum_i |(A M_{k-1})_ii| for the trace.  If either passes
+    2^53 the coefficients may be rounded, and a RootFindingError with empty
+    diagnostics is raised instead.  Cycles and sparse components stay far
+    inside the bound; dense ones of a few dozen vertices pass it.
 
     The certificate has a second tier: single precision holds every integer
     up to 2^24.  A matrix starts in float32 and keeps a step there while
@@ -128,6 +130,18 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     Each step adds c_k to the diagonal of A M_{k-1} in place, through a
     view, and reads max|M_{k-1}| as max(max M, -min M); with every value an
     exact integer, both are exact.
+
+    The bounds are evaluated lazily.  An integer U >= max|M_{k-1}| starts
+    at 1 and becomes r * U + |c_k| after each step, since every entry of
+    A M_{k-1} is at most r * max|M_{k-1}| and c_k adds to the diagonal
+    only.  M_{k-1} is scanned, and U set to its exact maximum, only at a
+    step where U could change a decision: r * U > 2^24 (or
+    r * U + |c_k| > 2^24 for the diagonal update) on the float32 tier, or
+    n * r * U > 2^53; the trace bound is summed only while n * r * U
+    passes 2^53, as it is at most n * r * max|M_{k-1}|.  A skipped check
+    would have passed, since the bounds it reads are at most the ones U
+    gives, so every coefficient, tier switch and refusal text is the one
+    the full check at every step gives.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -143,36 +157,51 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     # r <= 2^24 is the first step's product bound, and it makes A exact in float32
     single = row_sum <= SINGLE_EXACT_LIMIT
     a_single = a.astype(np.float32) if single else None
+    r = int(row_sum)
+
+    def scan(m: np.ndarray) -> tuple[int, float]:
+        """max|M| as an integer, and the product bound r * max|M| as the full check reads it."""
+        peak = float(max(m.max(), -m.min()))
+        return int(peak), row_sum * peak
+
+    # an integer upper bound on max|M_{k-1}|, exact after each scan of M
+    bound = 1
     descending = [1.0]
     m = np.eye(n, dtype=np.float32 if single else np.float64)
     for k in range(1, n + 1):
-        product_bound = row_sum * float(max(m.max(), -m.min()))
-        if single and product_bound > SINGLE_EXACT_LIMIT:
-            single = False
-            m = m.astype(np.float64)
+        product_bound = None
+        if (single and r * bound > SINGLE_EXACT_LIMIT) or n * r * bound > EXACT_INTEGER_LIMIT:
+            bound, product_bound = scan(m)
+            if single and product_bound > SINGLE_EXACT_LIMIT:
+                single = False
+                m = m.astype(np.float64)
         am = (a_single if single else a) @ m
         diagonal = am.ravel()[:: n + 1]
-        abs_diagonal = np.abs(diagonal)
-        trace_bound = float(np.add.reduce(abs_diagonal, dtype=np.float64))
-        reached = max(product_bound, trace_bound)
-        if reached > EXACT_INTEGER_LIMIT:
-            raise RootFindingError(
-                "characteristic polynomial is not exact in double precision: "
-                f"step {k} of {n} reaches {reached:.3g} > 2^53"
-            )
+        # sum |(A M)_ii| <= n * r * max|M|, so below 2^53 neither bound can refuse
+        if n * r * bound > EXACT_INTEGER_LIMIT:
+            trace_bound = float(np.add.reduce(np.abs(diagonal), dtype=np.float64))
+            reached = max(product_bound, trace_bound)
+            if reached > EXACT_INTEGER_LIMIT:
+                raise RootFindingError(
+                    "characteristic polynomial is not exact in double precision: "
+                    f"step {k} of {n} reaches {reached:.3g} > 2^53"
+                )
         ck = -float(np.add.reduce(diagonal, dtype=np.float64)) / k
         descending.append(ck)
-        # max|diag| <= product_bound, so the cheap test decides most steps
-        if (
-            single
-            and product_bound + abs(ck) > SINGLE_EXACT_LIMIT
-            and float(abs_diagonal.max()) + abs(ck) > SINGLE_EXACT_LIMIT
-        ):
-            single = False
-            am = am.astype(np.float64)
-            diagonal = am.ravel()[:: n + 1]
+        # max|diag| <= product_bound <= r * bound, so the cheap tests decide most steps
+        if single and r * bound + abs(ck) > SINGLE_EXACT_LIMIT:
+            if product_bound is None:
+                bound, product_bound = scan(m)
+            if (
+                product_bound + abs(ck) > SINGLE_EXACT_LIMIT
+                and float(np.abs(diagonal).max()) + abs(ck) > SINGLE_EXACT_LIMIT
+            ):
+                single = False
+                am = am.astype(np.float64)
+                diagonal = am.ravel()[:: n + 1]
         diagonal += ck
         m = am
+        bound = r * bound + int(abs(ck))
     return Polynomial(tuple(reversed(descending)))
 
 
@@ -212,11 +241,18 @@ def _newton_polygon_start(abs_c: np.ndarray) -> np.ndarray:
     edges of one slope would put two sets of points on one circle, where
     they can coincide, as the points (10, log 8), (14, log 2), (16, 0) of a
     degree-16 characteristic polynomial did.
+
+    The hull is one Python walk over the coefficients, with math.log of
+    each nonzero one.  Each edge's count, radius and offset is then
+    repeated once per point, so one array exp builds the points of all
+    edges, bit for bit those of one exp per edge.
     """
     degree = len(abs_c) - 1
     hull: list[tuple[int, float]] = []
-    for k in np.flatnonzero(abs_c):
-        point = (int(k), math.log(abs_c[k]))
+    for k, value in enumerate(abs_c.tolist()):
+        if not value:
+            continue
+        point = (k, math.log(value))
         while len(hull) >= 2:
             (k0, y0), (k1, y1) = hull[-2], hull[-1]
             cross = (k1 - k0) * (point[1] - y0) - (y1 - y0) * (point[0] - k0)
@@ -225,13 +261,14 @@ def _newton_polygon_start(abs_c: np.ndarray) -> np.ndarray:
                 break
             hull.pop()
         hull.append(point)
-    starts = []
-    for (k, yk), (j, yj) in zip(hull, hull[1:]):
-        count = j - k
-        radius = math.exp((yk - yj) / count)
-        angles = 2.0 * np.pi * np.arange(count) / count + 2.0 * np.pi * k / degree + 0.4
-        starts.append(radius * np.exp(1j * angles))
-    return np.concatenate(starts)
+    edges = list(zip(hull, hull[1:]))
+    counts = np.array([j - k for (k, _), (j, _) in edges])
+    radii = [math.exp((yk - yj) / (j - k)) for (k, yk), (j, yj) in edges]
+    offsets = [2.0 * np.pi * k / degree for (k, _), _ in edges]
+    # the position of each point on its circle, 0 .. count - 1
+    position = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    angles = 2.0 * np.pi * position / np.repeat(counts, counts) + np.repeat(offsets, counts) + 0.4
+    return np.repeat(radii, counts) * np.exp(1j * angles)
 
 
 def _reciprocal_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:

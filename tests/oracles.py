@@ -20,12 +20,17 @@ that the batched `cycle_root_radii_batch` must match radius for radius;
 `exact_total_details`, `splice_details` and `floating_bracket_details`
 replaced in `verify`, which read the package's pair tables; and
 `reference_cycle_eigenvalues`, the cmath.rect generator that
-`cycle_eigenvalues_batch` must match root for root.  `make_path` and
+`cycle_eigenvalues_batch` must match root for root;
+`reference_newton_polygon_start`, the edge-by-edge start builder whose
+points `spectra._newton_polygon_start` must match bit for bit; and
+`reference_spectrum_report`, the line-by-line print of `spectrum` that its
+one write must match byte for byte.  `make_path` and
 `pair_digraph` are test graphs built from the package's constructors.
 """
 from __future__ import annotations
 
 import cmath
+import io
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -114,6 +119,34 @@ def float_trace_recursion(matrix) -> tuple[float, ...]:
         descending.append(ck)
         m = am + ck * np.eye(n)
     return tuple(float(c) for c in reversed(descending))
+
+
+def reference_newton_polygon_start(abs_c: np.ndarray) -> np.ndarray:
+    """Newton-polygon start points, one edge of the hull at a time.
+
+    The earlier form of spectra._newton_polygon_start: the same upper hull
+    of (k, log|c_k|), then for each edge its own arange of angles, its own
+    exp and a concatenate of all edges.
+    """
+    degree = len(abs_c) - 1
+    hull: list[tuple[int, float]] = []
+    for k in np.flatnonzero(abs_c):
+        point = (int(k), math.log(abs_c[k]))
+        while len(hull) >= 2:
+            (k0, y0), (k1, y1) = hull[-2], hull[-1]
+            cross = (k1 - k0) * (point[1] - y0) - (y1 - y0) * (point[0] - k0)
+            scale = (point[0] - k0) * max(1.0, abs(y0), abs(y1), abs(point[1]))
+            if cross < -1e-12 * scale:
+                break
+            hull.pop()
+        hull.append(point)
+    starts = []
+    for (k, yk), (j, yj) in zip(hull, hull[1:]):
+        count = j - k
+        radius = math.exp((yk - yj) / count)
+        angles = 2.0 * np.pi * np.arange(count) / count + 2.0 * np.pi * k / degree + 0.4
+        starts.append(radius * np.exp(1j * angles))
+    return np.concatenate(starts)
 
 
 def largest_single_precision_bound(matrix) -> float:
@@ -657,6 +690,27 @@ def reference_cycle_eigenvalues(length: int, sign: int) -> tuple[complex, ...]:
     else:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return tuple(cmath.rect(1.0, a) for a in angles)
+
+
+def reference_spectrum_report(graph: SignedDigraph) -> str:
+    """The stdout of `spectrum` on graph, one print per line as it once was."""
+    from sidigraph import eigenvalues, energy, iota_energy, strong_components
+
+    components = strong_components(graph)
+    spectrum = eigenvalues(graph, components)
+    shown = [complex(round(z.real, 6) + 0.0, round(z.imag, 6) + 0.0) for z in spectrum]
+    ordered = sorted(shown, key=lambda z: (cmath.phase(z), abs(z)))
+    nontrivial = sum(1 for c in components if c.n_vertices > 1)
+    out = io.StringIO()
+    print(f"vertices: {graph.n_vertices}", file=out)
+    print(f"arcs: {graph.n_arcs}", file=out)
+    print(f"strong components: {len(components)} (nontrivial {nontrivial})", file=out)
+    print("eigenvalues:", file=out)
+    for z in ordered:
+        print(f"  {z.real:+.6f} {z.imag:+.6f}i", file=out)
+    print(f"energy: {energy(spectrum):.6f}", file=out)
+    print(f"iota energy: {iota_energy(spectrum):.6f}", file=out)
+    return out.getvalue()
 
 
 def make_path(length: int) -> SignedDigraph:

@@ -3,6 +3,7 @@ import math
 import os
 import stat
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sidigraph import (
 )
 from sidigraph import cli, trig, verification
 from sidigraph.cli import main
-from oracles import make_path
+from oracles import make_path, reference_spectrum_report
 from seeded_graphs import chained_blocks, collinear_hull_scc, dense_scc
 
 
@@ -556,6 +557,18 @@ def test_spectrum_chained_blocks_match_per_block_lapack(tmp_path, capsys, seed):
     fields = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
     assert abs(float(fields["energy"]) - np.abs(z.real).sum()) <= 1e-6
     assert abs(float(fields["iota energy"]) - np.abs(z.imag).sum()) <= 1e-6
+
+
+def test_spectrum_writes_its_report_at_once_as_the_prints_did(tmp_path, monkeypatch):
+    # three 24-vertex blocks: 72 eigenvalue lines in one write, byte for
+    # byte what a print per line wrote
+    g, _ = chained_blocks(3)
+    path = tmp_path / "blocks.txt"
+    path.write_text(format_edge_list(g), encoding="utf-8")
+    writes = []
+    monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["spectrum", str(path)]) == 0
+    assert writes == [reference_spectrum_report(g)]
 
 
 def test_spectrum_collinear_hull_component_prints_lapack_energies(tmp_path, capsys):

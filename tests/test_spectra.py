@@ -35,6 +35,7 @@ from oracles import (
     match_multisets,
     reference_cycle_eigenvalues,
     reference_cycle_root_radii,
+    reference_newton_polygon_start,
 )
 from seeded_graphs import chained_blocks, collinear_hull_scc, dense_scc
 
@@ -156,12 +157,67 @@ def test_char_poly_seeded_components_cover_both_precisions_and_a_refusal():
             [[-2394, 1453, -2186], [2605, 1781, 2019], [-2449, 1736, 0]],
             (18213784361.0, -16907277.0, 613.0, 1.0),
         ),
+        # r = 15999121 <= 2^24, so step 1 runs in float32 with U = 1 and no
+        # scan; c_1 = 10759084 makes r * U + |c_1| > 2^24, so M_0 is scanned
+        # after the product, and max|diag A| + |c_1| = 17829839 > 2^24 sends
+        # the diagonal update to float64
+        (
+            [[-3688329, 0], [-8928366, -7070755]],
+            (26079270718395.0, 10759084.0, 1.0),
+        ),
+        # r^2 = 16769025 <= 2^24, but M_1 = A + c_1 I holds -(4094 + 4093),
+        # so step 2 reaches r * max|M_1| = 4095 * 8187 = 33525765, odd: a
+        # running bound on max|M| that left out |c_1| would keep it in float32
+        (
+            [[4095, 0, 0], [0, 4094, 0], [0, 0, 4093]],
+            (-68618858490.0, 50282507.0, -12282.0, 1.0),
+        ),
     ],
 )
 def test_char_poly_exact_at_the_single_precision_limit(matrix, expected):
     a = np.array(matrix, dtype=np.float64)
     assert float_trace_recursion(a) == expected
     assert np.array(char_poly(a).coeffs).tobytes() == np.array(expected).tobytes()
+
+
+@st.composite
+def integer_matrices(draw):
+    # n = 1..12 and entries up to 2^30 in magnitude, many of them 0: the
+    # recursions cross 2^24 and 2^53 at all kinds of steps, most of them
+    # where char_poly's running bound U is far above max|M_{k-1}|
+    n = draw(st.integers(min_value=1, max_value=12))
+    top = 2 ** draw(st.integers(min_value=0, max_value=30))
+    entry = st.one_of(st.just(0), st.integers(min_value=-top, max_value=top))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(integer_matrices())
+def test_char_poly_lazy_certificate_matches_step_by_step_recursion(a):
+    # a check that char_poly skips would have passed, so the coefficients,
+    # -0.0 included, and the refusal texts are those of the full check
+    try:
+        expected = float_trace_recursion(a)
+    except OverflowError as exc:
+        with pytest.raises(RootFindingError) as refused:
+            char_poly(a)
+        assert str(refused.value) == str(exc)
+        return
+    assert np.array(char_poly(a).coeffs).tobytes() == np.array(expected).tobytes()
+
+
+def test_char_poly_refuses_by_the_trace_bound_right_after_a_skipped_scan():
+    # r = 124915542: step 1 has n * r * U = 2.5e8 and scans nothing; then
+    # U = r + |c_1| = 204384651 and n * r * U = 5.1e16 > 2^53, so step 2
+    # scans M_1.  The product bound r * max|M_1| = 8.50e15 passes, but the
+    # trace bound sum |diag(A M_1)| = 2 |det A| = 1.11e16 refuses.
+    a = np.array([[22583426.0, 62674031.0], [-68029859.0, 56885683.0]])
+    message = "characteristic polynomial is not exact in double precision: step 2 of 2 reaches 1.11e+16 > 2^53"
+    with pytest.raises(OverflowError, match=re.escape(message)):
+        float_trace_recursion(a)
+    with pytest.raises(RootFindingError, match=f"^{re.escape(message)}$"):
+        char_poly(a)
 
 
 @pytest.mark.parametrize(
@@ -304,9 +360,33 @@ COLLINEAR_HULL_POLY = (1, 1, -9, 17, -26, 16, -15, -3, -12, 3, -8, -1, 2, -1, 2,
 def test_newton_polygon_merges_collinear_hull_points():
     # (10, log 8), (14, log 2) and (16, 0) lie on one line; as two edges of
     # radius sqrt(2) they started points 11 and 14, 13 and 15 together
-    starts = spectra._newton_polygon_start(np.abs(np.array(COLLINEAR_HULL_POLY, dtype=np.float64)))
+    abs_c = np.abs(np.array(COLLINEAR_HULL_POLY, dtype=np.float64))
+    starts = spectra._newton_polygon_start(abs_c)
     assert len(np.unique(starts)) == 16
     assert np.count_nonzero(np.isclose(np.abs(starts), math.sqrt(2.0))) == 6
+    assert starts.tobytes() == reference_newton_polygon_start(abs_c).tobytes()
+
+
+@st.composite
+def newton_coefficients(draw):
+    # |c| of a monic polynomial with |c_0| > 0: interior zeros and
+    # magnitudes from 1e-300 to 1e300, so hulls of one to many edges
+    degree = draw(st.integers(min_value=2, max_value=60))
+    magnitude = st.one_of(
+        st.floats(min_value=1e-300, max_value=1e300),
+        st.integers(min_value=1, max_value=2**53).map(float),
+    )
+    interior = draw(st.lists(st.one_of(st.just(0.0), magnitude), min_size=degree - 1, max_size=degree - 1))
+    return np.array([draw(magnitude), *interior, 1.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(newton_coefficients())
+def test_newton_polygon_start_bit_identical_to_edge_by_edge_start(abs_c):
+    # one exp over the repeated radii, counts and offsets of all edges gives
+    # the points of one exp per edge
+    expected = reference_newton_polygon_start(abs_c)
+    assert spectra._newton_polygon_start(abs_c).tobytes() == expected.tobytes()
 
 
 def test_poly_roots_of_collinear_hull_polynomial_match_lapack():
